@@ -345,6 +345,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a failed self-check or a bug must not exit 1, the justified no
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,25 +14,21 @@ all sources of its event to one support value -- again linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import modsolve
 from .nets import DEFAULT_CAP, PetriNet, reachability_graph
 from .nettypes import Group, NetType, Pair, TauEvent, absval, make_type, minus, plus
 from .regions import (
+    CoverageView,
     Region,
     WitnessSet,
     solves,
     synthesized_net,
     validate_region,
 )
-from .ts import (
-    SeparationAtom,
-    TransitionSystem,
-    deterministic_isomorphism,
-    essa_atoms,
-    ssa_atoms,
-)
+from .ts import SeparationAtom, TransitionSystem, deterministic_isomorphism
 
 Z_DECIDABLE_SSP = ("zpt", "zppt", "rzpt")
 
@@ -52,6 +48,13 @@ class SpanningData:
     parent: dict[str, tuple[str, str, str]]
     chords: tuple[tuple[str, str, str], ...]
     psi: dict[str, tuple[int, ...]]
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The nonzero fundamental cycle rows, in chord order."""
+        return tuple(
+            row for chord in self.chords if any(row := fundamental_cycle(self, chord))
+        )
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,11 @@ def fundamental_cycle(sd: SpanningData, chord: tuple[str, str, str]) -> tuple[in
     For a chord s --e--> s', the cycle runs the tree path to s, the chord,
     and the tree path from s' backwards: psi(s) - psi(s') + unit(e).
     """
-    if chord not in sd.chords:
-        raise ValueError(f"not a chord: {chord}")
     src, event, dst = chord
+    if sd.ts.delta(src, event) != dst or sd.parent.get(dst) == (src, event, dst):
+        raise ValueError(f"not a chord: {chord}")
     modulus = sd.bound + 1
-    unit = {e: i for i, e in enumerate(sd.ts.events)}[event]
+    unit = sd.ts.events.index(event)
     vec = [
         (a - b_) % modulus for a, b_ in zip(sd.psi[src], sd.psi[dst])
     ]
@@ -135,10 +138,8 @@ def base_system(sd: SpanningData) -> modsolve.ModSystem:
     assignment abs satisfies it iff (sup_init, abs) is an abstract region
     for every sup_init.
     """
-    rows = [row for chord in sd.chords if any(row := fundamental_cycle(sd, chord))]
-    return modsolve.ModSystem(
-        sd.bound + 1, len(sd.ts.events), tuple(rows), (0,) * len(rows)
-    )
+    rows = sd.cycles
+    return modsolve.ModSystem(sd.bound + 1, len(sd.ts.events), rows, (0,) * len(rows))
 
 
 def _group_region(sd: SpanningData, tau: NetType, sup_init: int, abs_vec) -> Region:
@@ -199,30 +200,42 @@ def decide_ssa(
 def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
     """State separation over zpt/zppt/rzpt, with greedy region reuse.
 
-    Short-circuits on the first unsolvable atom.
+    Visits the atoms in ssa_atoms order and searches a region only for an
+    atom no earlier region solves; short-circuits on the first unsolvable
+    one.  The states are kept in classes of equal support under the
+    regions found so far, so the next such atom is read off the classes
+    instead of probing every region for every atom.
     """
     sd = build_spanning(ts, tau.bound)
     base = base_system(sd)
     base_rows = modsolve.reduce_rows(base.modulus, base.rows, base.cols)
-    witness = WitnessSet()
-    for atom in ssa_atoms(ts):
-        covered = _cover(witness, tau, atom)
-        if covered:
-            continue
+    states = ts.states
+    regions: list[Region] = []
+    classes = [list(range(len(states)))] if len(states) > 1 else []
+    while (pair := _cover(classes)) is not None:
+        atom = SeparationAtom.ssa(states[pair[0]], states[pair[1]])
         region = decide_ssa(ts, tau, atom, sd=sd, base_rows=base_rows)
         if region is None:
             return DecisionReport(False, None, atom)
-        witness.regions.append(region)
-        witness.coverage[atom] = len(witness.regions) - 1
-    return DecisionReport(True, witness, None)
+        regions.append(region)
+        refined = []
+        for members in classes:
+            parts: dict[int, list[int]] = {}
+            for i in members:
+                parts.setdefault(region.sup[states[i]], []).append(i)
+            refined.extend(part for part in parts.values() if len(part) > 1)
+        classes = refined
+    return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, "ssp")), None)
 
 
-def _cover(witness: WitnessSet, tau: NetType, atom: SeparationAtom) -> bool:
-    for i, region in enumerate(witness.regions):
-        if solves(region, tau, atom):
-            witness.coverage[atom] = i
-            return True
-    return False
+def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
+    """First atom, as state positions, that no region found so far solves.
+
+    classes holds the states the regions cannot tell apart, in declared
+    order, one list per support tuple with at least two members; the pairs
+    inside a class are exactly the unsolved atoms.
+    """
+    return min(((c[0], c[1]) for c in classes), default=None)
 
 
 def _sources(ts: TransitionSystem, event: str) -> list[str]:
@@ -257,13 +270,8 @@ def essa_system(
         raise ValueError(f"event never occurs: {event}")
     first = sources[0]
     index = {e: i for i, e in enumerate(ts.events)}
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for chord in sd.chords:
-        row = fundamental_cycle(sd, chord)
-        if any(row):
-            rows.append(row)
-            rhs.append(0)
+    rows = list(sd.cycles)
+    rhs = [0] * len(rows)
     pin = [0] * len(ts.events)
     pin[index[event]] = 1
     rows.append(tuple(pin))
@@ -347,11 +355,7 @@ def _essa_shared_rows(sd: SpanningData, event: str) -> tuple[tuple[int, ...], ..
     modulus = sd.bound + 1
     sources = _sources(sd.ts, event)
     first = sources[0]
-    rows = [
-        row
-        for chord in sd.chords
-        if any(row := fundamental_cycle(sd, chord))
-    ]
+    rows = list(sd.cycles)
     for other in sources[1:]:
         rows.append(
             tuple((a - b_) % modulus for a, b_ in zip(sd.psi[first], sd.psi[other]))
@@ -384,22 +388,30 @@ def _concretize_essa(
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
-    """Event/state separation over rzpt, greedy reuse, short-circuiting."""
+    """Event/state separation over rzpt, greedy reuse, short-circuiting.
+
+    Visits the atoms in essa_atoms order like decide_ssp.  A region found
+    for event e carries a pair (m,n) on e and groups, which fire
+    everywhere, on the other events: it solves exactly the atoms (e, s)
+    with sup(s) != m, so each event keeps its own list of open states.
+    """
     sd = build_spanning(ts, bound)
     tau = make_type("rzpt", bound)
-    witness = WitnessSet()
-    shared: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for atom in essa_atoms(ts):
-        if _cover(witness, tau, atom):
+    regions: list[Region] = []
+    for event in ts.events:
+        open_states = [s for s in ts.states if not ts.has_arc(s, event)]
+        if not open_states:
             continue
-        if atom.left not in shared:
-            shared[atom.left] = _essa_shared_rows(sd, atom.left)
-        region = decide_essa_rzpt(ts, bound, atom, sd=sd, shared_rows=shared[atom.left])
-        if region is None:
-            return DecisionReport(False, None, atom)
-        witness.regions.append(region)
-        witness.coverage[atom] = len(witness.regions) - 1
-    return DecisionReport(True, witness, None)
+        shared = _essa_shared_rows(sd, event)
+        while open_states:
+            atom = SeparationAtom.essa(event, open_states[0])
+            region = decide_essa_rzpt(ts, bound, atom, sd=sd, shared_rows=shared)
+            if region is None:
+                return DecisionReport(False, None, atom)
+            regions.append(region)
+            m = region.sig[event].m
+            open_states = [s for s in open_states if region.sup[s] == m]
+    return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, "essp")), None)
 
 
 def synthesize_rzpt(
@@ -411,7 +423,10 @@ def synthesize_rzpt(
     """Synthesize an rzpt net whose reachability graph is isomorphic to ts.
 
     Decides ssp and essp; on success the union of both witnesses becomes
-    the net and the isomorphism back to ts is computed and asserted.
+    the net and the isomorphism back to ts is computed and asserted.  The
+    union is the ssp regions followed by the essp regions: the ssp regions
+    are group-only, so none of them solves an essa atom, and the regions of
+    each witness are pairwise distinct.
     """
     tau = make_type("rzpt", bound)
     ssp = decide_ssp(ts, tau)
@@ -420,15 +435,10 @@ def synthesize_rzpt(
     essp = decide_essp_rzpt(ts, bound)
     if not essp.holds:
         return SynthesisReport(None, essp.failing, None, None)
-    merged = WitnessSet()
     assert ssp.witness is not None and essp.witness is not None
-    for part in (ssp.witness, essp.witness):
-        for atom, i in part.coverage.items():
-            region = part.regions[i]
-            if region not in merged.regions:
-                merged.regions.append(region)
-            merged.coverage[atom] = merged.regions.index(region)
-    net = synthesized_net(ts, tau, merged.regions, name=name or f"{ts.name}.synth")
+    regions = ssp.witness.regions + essp.witness.regions
+    merged = WitnessSet(regions, CoverageView(ts, tau, regions, "solvability"))
+    net = synthesized_net(ts, tau, regions, name=name or f"{ts.name}.synth")
     graph = reachability_graph(net, cap)
     iso = deterministic_isomorphism(graph, ts)
     if iso is None:

@@ -11,12 +11,13 @@ synthesized net.  A region solves an atom:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .nets import PetriNet
 from .nettypes import NetType, TauEvent, delta_tau
-from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
+from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms, iter_atoms
 
 
 @dataclass
@@ -37,11 +38,97 @@ class WitnessSet:
     """Regions plus the atom coverage they were assembled for.
 
     coverage maps each atom to the index (into regions) of the first region
-    that solves it.
+    that solves it.  It is a plain dict where a witness is assembled atom by
+    atom (build_witness, the oracle, the reductions).  The polynomial
+    deciders hand out a CoverageView instead: a read-only lazy mapping that
+    supports len, iteration and lookup but not item assignment, so a
+    decision costs O(|S|*regions) plus one linear solve batch per region
+    rather than a stored entry per atom.
     """
 
     regions: list[Region] = field(default_factory=list)
-    coverage: dict[SeparationAtom, int] = field(default_factory=dict)
+    coverage: Mapping[SeparationAtom, int] = field(default_factory=dict)
+
+
+class CoverageView(Mapping):
+    """First-fit coverage of a complete witness, computed on lookup.
+
+    Iterates the atoms of the problem in enumerate_atoms order and maps
+    each to the index of the first of the regions that solves it, as
+    build_witness would, without storing anything per atom.  Looking up
+    anything that is not an atom of the problem (a reversed ssa pair, an
+    enabled (e, s), an unknown name) raises KeyError, as does an atom that
+    no region solves.
+    """
+
+    def __init__(
+        self,
+        ts: TransitionSystem,
+        tau: NetType,
+        regions: Sequence[Region],
+        problem: str,
+    ):
+        if problem not in PROBLEMS:
+            raise ValueError(f"unknown problem: {problem}")
+        self._ts = ts
+        self._tau = tau
+        self._regions = tuple(regions)
+        self._problem = problem
+        self._position = {s: i for i, s in enumerate(ts.states)}
+        # per event, the regions whose signature of it can be undefined:
+        # only those can solve its essa atoms; filled on first lookup
+        self._partial: dict[str, Optional[list[int]]] = dict.fromkeys(ts.events)
+
+    def __len__(self) -> int:
+        n = len(self._ts.states)
+        count = 0
+        if self._problem != "essp":
+            count += n * (n - 1) // 2
+        if self._problem != "ssp":
+            count += len(self._ts.events) * n - len(self._ts.arcs())
+        return count
+
+    def __iter__(self) -> Iterator[SeparationAtom]:
+        return iter_atoms(self._ts, self._problem)
+
+    def __getitem__(self, atom: SeparationAtom) -> int:
+        if not self._is_atom(atom):
+            raise KeyError(atom)
+        if atom.kind == "ssa":
+            candidates: Iterable[int] = range(len(self._regions))
+        else:
+            candidates = self._partial_on(atom.left)
+        for i in candidates:
+            if solves(self._regions[i], self._tau, atom):
+                return i
+        raise KeyError(atom)
+
+    def _is_atom(self, atom: object) -> bool:
+        if not isinstance(atom, SeparationAtom) or atom.right not in self._position:
+            return False
+        if atom.kind == "ssa":
+            return (
+                self._problem != "essp"
+                and atom.left in self._position
+                and self._position[atom.left] < self._position[atom.right]
+            )
+        return (
+            atom.kind == "essa"
+            and self._problem != "ssp"
+            and atom.left in self._partial
+            and not self._ts.has_arc(atom.right, atom.left)
+        )
+
+    def _partial_on(self, event: str) -> list[int]:
+        found = self._partial[event]
+        if found is None:
+            values = range(self._tau.bound + 1)
+            found = self._partial[event] = [
+                i
+                for i, r in enumerate(self._regions)
+                if any(delta_tau(self._tau, v, r.sig[event]) is None for v in values)
+            ]
+        return found
 
 
 @dataclass

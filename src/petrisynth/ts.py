@@ -210,23 +210,29 @@ def _linear_walk(ts: TransitionSystem) -> Optional[list[str]]:
     return path
 
 
+def iter_atoms(ts: TransitionSystem, problem: str = "solvability") -> Iterator[SeparationAtom]:
+    """The atoms of enumerate_atoms, in the same order, one at a time."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem: {problem}")
+    if problem != "essp":
+        for i, s in enumerate(ts.states):
+            for t in ts.states[i + 1 :]:
+                yield SeparationAtom.ssa(s, t)
+    if problem != "ssp":
+        for e in ts.events:
+            for s in ts.states:
+                if not ts.has_arc(s, e):
+                    yield SeparationAtom.essa(e, s)
+
+
 def ssa_atoms(ts: TransitionSystem) -> list[SeparationAtom]:
     """All unordered state pairs, once each, in declared state order."""
-    atoms = []
-    for i, s in enumerate(ts.states):
-        for t in ts.states[i + 1 :]:
-            atoms.append(SeparationAtom.ssa(s, t))
-    return atoms
+    return list(iter_atoms(ts, "ssp"))
 
 
 def essa_atoms(ts: TransitionSystem) -> list[SeparationAtom]:
     """All (event, state) pairs with the event undefined at the state."""
-    atoms = []
-    for e in ts.events:
-        for s in ts.states:
-            if not ts.has_arc(s, e):
-                atoms.append(SeparationAtom.essa(e, s))
-    return atoms
+    return list(iter_atoms(ts, "essp"))
 
 
 def enumerate_atoms(ts: TransitionSystem, problem: str = "solvability") -> list[SeparationAtom]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from petrisynth import cli
 from petrisynth.cli import main
 from petrisynth.fileio import parse_net, parse_ts, serialize_formula, serialize_ts
 from petrisynth.nets import reachability_graph
@@ -81,6 +82,16 @@ def test_synthesize_reachability_iso_pipeline(a2_file, a2, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "isomorphic"
     assert "  s0 -> 0" in out
+
+
+def test_internal_error_exits_2(a2_file, capsys, monkeypatch):
+    # exit 1 means a justified no; a failed self-check is neither that nor yes
+    def broken(*args, **kwargs):
+        raise AssertionError("derived region misses its atom")
+
+    monkeypatch.setattr(cli, "synthesize_rzpt", broken)
+    assert main(["synthesize", "--b", "2", str(a2_file)]) == 2
+    assert "internal error: AssertionError" in capsys.readouterr().err
 
 
 def test_synthesize_failure(a2_file, capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petrisynth import modsolve
+from petrisynth import modsolve, polysynth
+from petrisynth.nets import PetriNet, reachability_graph
 from petrisynth.nettypes import Group, Pair, make_type
 from petrisynth.oracle import oracle_decide
 from petrisynth.polysynth import (
@@ -19,8 +20,8 @@ from petrisynth.polysynth import (
     fundamental_cycle,
     synthesize_rzpt,
 )
-from petrisynth.regions import support_from_signature
-from petrisynth.ts import SeparationAtom, TransitionSystem
+from petrisynth.regions import build_witness, solves, support_from_signature
+from petrisynth.ts import SeparationAtom, TransitionSystem, essa_atoms, ssa_atoms
 
 from conftest import random_ts
 
@@ -214,3 +215,116 @@ def test_essp_rzpt_matches_oracle(seed, bound):
     fast = decide_essp_rzpt(ts, bound)
     slow = oracle_decide(ts, make_type("rzpt", bound), "essp")
     assert fast.holds == slow.answer
+
+
+def greedy_reference(tau, atoms, search):
+    """The per-atom first-fit loop the deciders replace: probe every region
+    found so far, search a new one for an atom none of them solves."""
+    regions, coverage = [], {}
+    for atom in atoms:
+        for i, region in enumerate(regions):
+            if solves(region, tau, atom):
+                coverage[atom] = i
+                break
+        else:
+            region = search(atom)
+            if region is None:
+                return False, atom, None, None
+            regions.append(region)
+            coverage[atom] = len(regions) - 1
+    return True, None, regions, coverage
+
+
+def assert_matches_reference(ts, tau, report, reference, problem):
+    holds, failing, regions, coverage = reference
+    assert report.holds == holds
+    assert report.failing == failing
+    if not holds:
+        assert report.witness is None
+        return
+    assert report.witness.regions == regions
+    view = report.witness.coverage
+    assert len(view) == len(coverage)
+    assert list(view.items()) == list(coverage.items())
+    rebuilt = build_witness(ts, tau, regions, problem)[0].coverage
+    assert dict(view) == rebuilt
+    assert list(dict(view)) == list(rebuilt)
+
+
+def assert_rejects_non_atoms(ts, view, ssp, essp):
+    bad = [SeparationAtom.ssa("nowhere", ts.states[0]), SeparationAtom.essa("nothing", ts.states[0])]
+    if len(ts.states) > 1:
+        bad.append(SeparationAtom.ssa(ts.states[1], ts.states[0]))
+        if not ssp:
+            bad.append(SeparationAtom.ssa(ts.states[0], ts.states[1]))
+    src, event, _ = ts.arcs()[0]
+    bad.append(SeparationAtom.essa(event, src))
+    if not essp:
+        bad.extend(SeparationAtom.essa(e, s) for e in ts.events for s in ts.states if not ts.has_arc(s, e))
+    for atom in bad:
+        with pytest.raises(KeyError):
+            view[atom]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), bound=st.sampled_from([1, 2, 3, 5]))
+def test_deciders_match_greedy_reference(seed, bound):
+    rng = random.Random(seed)
+    ts = random_ts(rng, max_states=7, max_events=3)
+    for family in ("zpt", "zppt", "rzpt"):
+        tau = make_type(family, bound)
+        report = decide_ssp(ts, tau)
+        reference = greedy_reference(tau, ssa_atoms(ts), lambda a: decide_ssa(ts, tau, a))
+        assert_matches_reference(ts, tau, report, reference, "ssp")
+        if report.holds:
+            assert_rejects_non_atoms(ts, report.witness.coverage, True, False)
+    rzpt = make_type("rzpt", bound)
+    report = decide_essp_rzpt(ts, bound)
+    reference = greedy_reference(rzpt, essa_atoms(ts), lambda a: decide_essa_rzpt(ts, bound, a))
+    assert_matches_reference(ts, rzpt, report, reference, "essp")
+    if report.holds:
+        assert_rejects_non_atoms(ts, report.witness.coverage, False, True)
+    synth = synthesize_rzpt(ts, bound)
+    if synth.witness is not None:
+        # the merged coverage is first fit over the ssp then the essp regions
+        regions = synth.witness.regions
+        first_fit, missing = build_witness(ts, rzpt, regions, "solvability")
+        assert not missing
+        assert list(synth.witness.coverage.items()) == list(first_fit.coverage.items())
+        assert_rejects_non_atoms(ts, synth.witness.coverage, True, True)
+
+
+def group_heavy_net():
+    """Five places at b=2 whose flows are groups except one pair on t5.
+    The group steps of t0..t4 form a unitriangular matrix, so they alone
+    reach all 243 markings."""
+    places = [f"p{i}" for i in range(5)]
+    transitions = [f"t{i}" for i in range(6)]
+    flow = {}
+    for i, p in enumerate(places):
+        for j, t in enumerate(transitions):
+            flow[(p, t)] = Group(1 if i == j else 0 if j < i else (i + j) % 3)
+    flow[("p2", "t5")] = Pair(1, 2)
+    return PetriNet("heavy", make_type("rzpt", 2), [(p, 0) for p in places], transitions, flow)
+
+
+def test_synthesis_probes_each_region_once(monkeypatch):
+    # guards against the O(|S|^2 * regions) first-fit scan coming back: the
+    # only solves calls left are the self-check on each derived region
+    ts = reachability_graph(group_heavy_net())
+    assert len(ts.states) == 243
+    calls = []
+
+    def counted(region, tau, atom):
+        calls.append(atom)
+        return solves(region, tau, atom)
+
+    def forbidden(ts):
+        raise AssertionError("deciders must not enumerate the atoms")
+
+    monkeypatch.setattr(polysynth, "solves", counted)
+    monkeypatch.setattr(polysynth, "ssa_atoms", forbidden, raising=False)
+    monkeypatch.setattr(polysynth, "essa_atoms", forbidden, raising=False)
+    report = synthesize_rzpt(ts, 2)
+    assert report.net is not None
+    assert 0 < len(calls) <= len(report.witness.regions)
