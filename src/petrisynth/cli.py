@@ -57,6 +57,8 @@ def _env_budget() -> Optional[int]:
 
 def _oracle_budget(flag: Optional[int] = None) -> OracleBudget:
     if flag is not None:
+        if flag < 1:
+            raise ValueError(f"--budget must be positive, got {flag}")
         return OracleBudget(flag)
     from_env = _env_budget()
     if from_env is not None:

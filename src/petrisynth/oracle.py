@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .nettypes import NetType, TauEvent
+from .nettypes import NetType
 from .regions import Region, WitnessSet, solves, support_from_signature
 from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
 
@@ -48,32 +48,33 @@ class OracleReport:
     checked: int
 
 
-def _signature_space(
-    ts: TransitionSystem, tau: NetType
-) -> Iterator[tuple[int, dict[str, TauEvent]]]:
-    """Candidates (sup_init, signature) in lexicographic order.
+def _candidates(
+    ts: TransitionSystem, tau: NetType, budget: OracleBudget
+) -> Iterator[tuple[int, Region]]:
+    """Regions in (sup_init, signature) lexicographic order, each with the
+    number of candidates consumed so far.
 
     Signature tuples follow the net type's canonical event order, one slot
-    per TS event in declared order.
+    per TS event in declared order.  Raises BudgetExceeded before consuming
+    a candidate past the budget.
     """
+    checked = 0
     for sup_init in range(tau.bound + 1):
         for combo in itertools.product(tau.events, repeat=len(ts.events)):
-            yield sup_init, dict(zip(ts.events, combo))
+            if checked == budget.max_candidates:
+                raise BudgetExceeded(checked)
+            checked += 1
+            region = support_from_signature(ts, tau, sup_init, dict(zip(ts.events, combo)))
+            if region is not None:
+                yield checked, region
 
 
 def enumerate_regions(
     ts: TransitionSystem, tau: NetType, budget: Optional[OracleBudget] = None
 ) -> Iterator[Region]:
     """All regions of the TS, in (sup_init, signature) lexicographic order."""
-    budget = budget or OracleBudget()
-    checked = 0
-    for sup_init, sig in _signature_space(ts, tau):
-        checked += 1
-        if checked > budget.max_candidates:
-            raise BudgetExceeded(checked - 1)
-        region = support_from_signature(ts, tau, sup_init, sig)
-        if region is not None:
-            yield region
+    for _, region in _candidates(ts, tau, budget or OracleBudget()):
+        yield region
 
 
 def oracle_decide(
@@ -90,27 +91,23 @@ def oracle_decide(
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem: {problem}")
-    budget = budget or OracleBudget()
     unsolved = enumerate_atoms(ts, problem)
     witness = WitnessSet()
     if not unsolved:
         return OracleReport(True, witness, None, 0)
-    checked = 0
-    for sup_init, sig in _signature_space(ts, tau):
-        checked += 1
-        if checked > budget.max_candidates:
-            raise BudgetExceeded(checked - 1, unsolved)
-        region = support_from_signature(ts, tau, sup_init, sig)
-        if region is None:
-            continue
-        newly = [a for a in unsolved if solves(region, tau, a)]
-        if not newly:
-            continue
-        witness.regions.append(region)
-        index = len(witness.regions) - 1
-        for atom in newly:
-            witness.coverage[atom] = index
-        unsolved = [a for a in unsolved if a not in witness.coverage]
-        if not unsolved:
-            return OracleReport(True, witness, None, checked)
-    return OracleReport(False, None, unsolved[0], checked)
+    try:
+        for checked, region in _candidates(ts, tau, budget or OracleBudget()):
+            newly = [a for a in unsolved if solves(region, tau, a)]
+            if not newly:
+                continue
+            witness.regions.append(region)
+            index = len(witness.regions) - 1
+            for atom in newly:
+                witness.coverage[atom] = index
+            unsolved = [a for a in unsolved if a not in witness.coverage]
+            if not unsolved:
+                return OracleReport(True, witness, None, checked)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(exc.checked, unsolved) from None
+    space = (tau.bound + 1) * len(tau.events) ** len(ts.events)
+    return OracleReport(False, None, unsolved[0], space)

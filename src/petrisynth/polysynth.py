@@ -13,9 +13,10 @@ all sources of its event to one support value -- again linear.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 from . import modsolve
 from .nets import DEFAULT_CAP, PetriNet, reachability_graph
@@ -25,8 +26,8 @@ from .regions import (
     Region,
     WitnessSet,
     solves,
+    support_from_signature,
     synthesized_net,
-    validate_region,
 )
 from .ts import SeparationAtom, TransitionSystem, deterministic_isomorphism
 
@@ -55,6 +56,12 @@ class SpanningData:
         return tuple(
             row for chord in self.chords if any(row := fundamental_cycle(self, chord))
         )
+
+    @cached_property
+    def reduced_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The base system's rows in reduced form, shared by every ssa probe."""
+        base = base_system(self)
+        return modsolve.reduce_rows(base.modulus, base.rows, base.cols)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,10 @@ def fundamental_cycle(sd: SpanningData, chord: tuple[str, str, str]) -> tuple[in
     return tuple(vec)
 
 
+def _difference(u: tuple[int, ...], v: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    return tuple((a - b_) % modulus for a, b_ in zip(u, v))
+
+
 def base_system(sd: SpanningData) -> modsolve.ModSystem:
     """Homogeneous system cutting out the abstract regions of the TS.
 
@@ -142,18 +153,19 @@ def base_system(sd: SpanningData) -> modsolve.ModSystem:
     return modsolve.ModSystem(sd.bound + 1, len(sd.ts.events), rows, (0,) * len(rows))
 
 
-def _group_region(sd: SpanningData, tau: NetType, sup_init: int, abs_vec) -> Region:
-    sup = {
-        s: (sup_init + sum(p * a for p, a in zip(vec, abs_vec))) % (sd.bound + 1)
-        for s, vec in sd.psi.items()
-    }
-    sig: dict[str, TauEvent] = {
-        e: Group(abs_vec[i] % (sd.bound + 1)) for i, e in enumerate(sd.ts.events)
-    }
-    region = Region(sup, sig)
-    check = validate_region(sd.ts, tau, region)
-    if not check.ok:
-        raise AssertionError(f"derived region fails validation: {check.reason}")
+def _derived_region(
+    sd: SpanningData, tau: NetType, atom: SeparationAtom, sup_init: int, sig: dict[str, TauEvent]
+) -> Region:
+    """The region fixed by sup_init and a solved signature, self-checked.
+
+    Propagating the signature along the arcs both derives the support and
+    checks the region condition on every arc.
+    """
+    region = support_from_signature(sd.ts, tau, sup_init, sig)
+    if region is None:
+        raise AssertionError("derived region fails validation")
+    if not solves(region, tau, atom):
+        raise AssertionError(f"derived region misses its atom: {atom}")
     return region
 
 
@@ -162,7 +174,6 @@ def decide_ssa(
     tau: NetType,
     atom: SeparationAtom,
     sd: Optional[SpanningData] = None,
-    base_rows: Optional[tuple[tuple[int, ...], ...]] = None,
 ) -> Optional[Region]:
     """Group-only region separating two states, or None.
 
@@ -174,26 +185,18 @@ def decide_ssa(
     if atom.kind != "ssa":
         raise ValueError(f"not an ssa atom: {atom}")
     sd = sd or build_spanning(ts, tau.bound)
-    if base_rows is None:
-        base = base_system(sd)
-        base_rows = modsolve.reduce_rows(base.modulus, base.rows, base.cols)
-    modulus = tau.bound + 1
-    diff = tuple(
-        (a - b_) % modulus for a, b_ in zip(sd.psi[atom.right], sd.psi[atom.left])
-    )
+    base_rows = sd.reduced_cycles
+    diff = _difference(sd.psi[atom.right], sd.psi[atom.left], tau.bound + 1)
     for q in range(1, tau.bound + 1):
         system = modsolve.ModSystem(
-            modulus,
+            tau.bound + 1,
             len(ts.events),
             base_rows + (diff,),
             (0,) * len(base_rows) + (q,),
         )
         x = modsolve.solve(system)
         if x is not None:
-            region = _group_region(sd, tau, 0, x)
-            if not solves(region, tau, atom):
-                raise AssertionError(f"derived region misses its atom: {atom}")
-            return region
+            return _derived_region(sd, tau, atom, 0, {e: Group(v) for e, v in zip(ts.events, x)})
     return None
 
 
@@ -207,14 +210,12 @@ def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
     instead of probing every region for every atom.
     """
     sd = build_spanning(ts, tau.bound)
-    base = base_system(sd)
-    base_rows = modsolve.reduce_rows(base.modulus, base.rows, base.cols)
     states = ts.states
     regions: list[Region] = []
     classes = [list(range(len(states)))] if len(states) > 1 else []
     while (pair := _cover(classes)) is not None:
         atom = SeparationAtom.ssa(states[pair[0]], states[pair[1]])
-        region = decide_ssa(ts, tau, atom, sd=sd, base_rows=base_rows)
+        region = decide_ssa(ts, tau, atom, sd=sd)
         if region is None:
             return DecisionReport(False, None, atom)
         regions.append(region)
@@ -239,7 +240,50 @@ def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
 
 
 def _sources(ts: TransitionSystem, event: str) -> list[str]:
-    return [s for s in ts.states if ts.has_arc(s, event)]
+    sources = [s for s in ts.states if ts.has_arc(s, event)]
+    if not sources:
+        raise ValueError(f"event never occurs: {event}")
+    return sources
+
+
+def _essa_shared_rows(sd: SpanningData, event: str) -> tuple[tuple[int, ...], ...]:
+    """Pre-reduced homogeneous rows valid for every (m,n,sup_init,q) probe:
+    the base system plus the equal-support rows of the event's sources."""
+    modulus = sd.bound + 1
+    first, *others = _sources(sd.ts, event)
+    rows = sd.cycles + tuple(_difference(sd.psi[first], sd.psi[o], modulus) for o in others)
+    return modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
+
+
+def _essa_layout(
+    sd: SpanningData,
+    atom: SeparationAtom,
+    shared_rows: Optional[tuple[tuple[int, ...], ...]] = None,
+) -> Callable[[int, int, int, int], modsolve.ModSystem]:
+    """The rzpt essa systems of atom = (e, s), by probe (m, n, sup_init, q).
+
+    The rows are laid out once per atom; only the right-hand side depends
+    on the probe.  See essa_system for the row order.
+    """
+    if atom.kind != "essa":
+        raise ValueError(f"not an essa atom: {atom}")
+    modulus = sd.bound + 1
+    event, state = atom.left, atom.right
+    first = _sources(sd.ts, event)[0]
+    if shared_rows is None:
+        shared_rows = _essa_shared_rows(sd, event)
+    rows = shared_rows + (
+        tuple(int(e == event) for e in sd.ts.events),
+        sd.psi[first],
+        _difference(sd.psi[first], sd.psi[state], modulus),
+    )
+    zeros = (0,) * len(shared_rows)
+
+    def system(m: int, n: int, sup_init: int, q: int) -> modsolve.ModSystem:
+        rhs = zeros + ((n - m) % modulus, (m - sup_init) % modulus, q % modulus)
+        return modsolve.ModSystem(modulus, len(sd.ts.events), rows, rhs)
+
+    return system
 
 
 def essa_system(
@@ -254,40 +298,15 @@ def essa_system(
 ) -> modsolve.ModSystem:
     """The rzpt event/state separation system for one parameter choice.
 
-    Unknowns: one group value per event.  Rows, in order: the base system's
-    fundamental cycle rows; the pin abs(e) = n - m; equal-support rows
-    (psi(s1) - psi(si)).abs = 0 for the later sources si of the event;
-    the source support row psi(s1).abs = m - sup_init; the separation row
-    (psi(s1) - psi(s)).abs = q.
+    Unknowns: one group value per event.  Rows, in order: the Howell-reduced
+    block of the fundamental cycle rows and the equal-support rows
+    (psi(s1) - psi(si)).abs = 0 for the later sources si of the event; the
+    pin abs(e) = n - m; the source support row psi(s1).abs = m - sup_init;
+    the separation row (psi(s1) - psi(s)).abs = q.  decide_essa_rzpt solves
+    exactly these systems.
     """
-    if atom.kind != "essa":
-        raise ValueError(f"not an essa atom: {atom}")
     sd = sd or build_spanning(ts, bound)
-    modulus = bound + 1
-    event, state = atom.left, atom.right
-    sources = _sources(ts, event)
-    if not sources:
-        raise ValueError(f"event never occurs: {event}")
-    first = sources[0]
-    index = {e: i for i, e in enumerate(ts.events)}
-    rows = list(sd.cycles)
-    rhs = [0] * len(rows)
-    pin = [0] * len(ts.events)
-    pin[index[event]] = 1
-    rows.append(tuple(pin))
-    rhs.append((n - m) % modulus)
-    for other in sources[1:]:
-        rows.append(
-            tuple((a - b_) % modulus for a, b_ in zip(sd.psi[first], sd.psi[other]))
-        )
-        rhs.append(0)
-    rows.append(sd.psi[first])
-    rhs.append((m - sup_init) % modulus)
-    rows.append(
-        tuple((a - b_) % modulus for a, b_ in zip(sd.psi[first], sd.psi[state]))
-    )
-    rhs.append(q % modulus)
-    return modsolve.ModSystem(modulus, len(ts.events), tuple(rows), tuple(rhs))
+    return _essa_layout(sd, atom)(m, n, sup_init, q)
 
 
 def decide_essa_rzpt(
@@ -304,87 +323,18 @@ def decide_essa_rzpt(
     is concretized: the event gets the pair signature, every other event
     its solved group value.
     """
-    if atom.kind != "essa":
-        raise ValueError(f"not an essa atom: {atom}")
     sd = sd or build_spanning(ts, bound)
-    modulus = bound + 1
+    system = _essa_layout(sd, atom, shared_rows)
     tau = make_type("rzpt", bound)
-    event, state = atom.left, atom.right
-    sources = _sources(ts, event)
-    if not sources:
-        raise ValueError(f"event never occurs: {event}")
-    first = sources[0]
-    index = {e: i for i, e in enumerate(ts.events)}
-    if shared_rows is None:
-        shared_rows = _essa_shared_rows(sd, event)
-    for m in range(bound + 1):
-        for n in range(bound + 1):
-            if m == 0 and n == 0:
-                continue
-            pin = [0] * len(ts.events)
-            pin[index[event]] = 1
-            for sup_init in range(bound + 1):
-                for q in range(1, bound + 1):
-                    rows = shared_rows + (
-                        tuple(pin),
-                        sd.psi[first],
-                        tuple(
-                            (a - b_) % modulus
-                            for a, b_ in zip(sd.psi[first], sd.psi[state])
-                        ),
-                    )
-                    rhs = (0,) * len(shared_rows) + (
-                        (n - m) % modulus,
-                        (m - sup_init) % modulus,
-                        q,
-                    )
-                    system = modsolve.ModSystem(modulus, len(ts.events), rows, rhs)
-                    x = modsolve.solve(system)
-                    if x is None:
-                        continue
-                    region = _concretize_essa(sd, tau, event, m, n, sup_init, x)
-                    if not solves(region, tau, atom):
-                        raise AssertionError(f"derived region misses its atom: {atom}")
-                    return region
+    values = range(bound + 1)
+    for m, n, sup_init, q in itertools.product(values, values, values, range(1, bound + 1)):
+        if m == 0 and n == 0:
+            continue
+        x = modsolve.solve(system(m, n, sup_init, q))
+        if x is not None:
+            sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
+            return _derived_region(sd, tau, atom, sup_init, sig)
     return None
-
-
-def _essa_shared_rows(sd: SpanningData, event: str) -> tuple[tuple[int, ...], ...]:
-    """Pre-reduced homogeneous rows valid for every (m,n,sup_init,q) probe:
-    the base system plus the equal-support rows of the event's sources."""
-    modulus = sd.bound + 1
-    sources = _sources(sd.ts, event)
-    first = sources[0]
-    rows = list(sd.cycles)
-    for other in sources[1:]:
-        rows.append(
-            tuple((a - b_) % modulus for a, b_ in zip(sd.psi[first], sd.psi[other]))
-        )
-    return modsolve.reduce_rows(modulus, tuple(rows), len(sd.ts.events))
-
-
-def _concretize_essa(
-    sd: SpanningData,
-    tau: NetType,
-    event: str,
-    m: int,
-    n: int,
-    sup_init: int,
-    abs_vec,
-) -> Region:
-    modulus = sd.bound + 1
-    sup = {
-        s: (sup_init + sum(p * a for p, a in zip(vec, abs_vec))) % modulus
-        for s, vec in sd.psi.items()
-    }
-    sig: dict[str, TauEvent] = {}
-    for i, e in enumerate(sd.ts.events):
-        sig[e] = Pair(m, n) if e == event else Group(abs_vec[i] % modulus)
-    region = Region(sup, sig)
-    check = validate_region(sd.ts, tau, region)
-    if not check.ok:
-        raise AssertionError(f"derived region fails validation: {check.reason}")
-    return region
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:

@@ -68,6 +68,16 @@ def test_bad_budget_env(a2_file, capsys, monkeypatch):
     assert "must be positive" in capsys.readouterr().err
 
 
+def test_bad_budget_flag(a2_file, capsys):
+    for bad in ("0", "-3"):
+        code = main(["oracle", "--family", "ppt", "--b", "1", "--problem", "ssp",
+                     "--budget", bad, str(a2_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: --budget must be positive, got {bad}" in captured.err
+        assert "inconclusive" not in captured.out
+
+
 def test_synthesize_reachability_iso_pipeline(a2_file, a2, tmp_path, capsys):
     assert main(["synthesize", "--b", "2", str(a2_file)]) == 0
     net_path = tmp_path / "a2.net"

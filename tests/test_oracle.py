@@ -62,5 +62,7 @@ def test_enumerate_regions_order_and_budget(a2):
     sigs = {str(r.sig["a"]) for r in regions}
     assert sigs == {"g:0", "g:1", "g:2"}
     assert len(regions) == 9
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         list(enumerate_regions(a2, ZPPT2, budget=OracleBudget(max_candidates=2)))
+    assert info.value.checked == 2
+    assert info.value.remaining is None

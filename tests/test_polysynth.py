@@ -78,6 +78,18 @@ def test_essa_system_rejects_missing_event():
     ts = TransitionSystem("m", ["s0", "s1"], ["a", "b"], [("s0", "a", "s1")], "s0")
     with pytest.raises(ValueError, match="event never occurs: b"):
         essa_system(ts, 1, SeparationAtom.essa("b", "s0"), 0, 1, 0, 1)
+    with pytest.raises(ValueError, match="event never occurs: b"):
+        decide_essp_rzpt(ts, 1)
+
+
+def test_derived_region_self_check(demo8, monkeypatch):
+    # a solution breaking demo8's cycle row (0, 2, 0, 1) mod 3 cannot
+    # propagate along the arcs, so the derived region must not come back
+    monkeypatch.setattr(modsolve, "solve", lambda system: (0, 1, 0, 0))
+    with pytest.raises(AssertionError, match="derived region fails validation"):
+        decide_ssa(demo8, make_type("zppt", 2), SeparationAtom.ssa("0", "1"))
+    with pytest.raises(AssertionError, match="derived region fails validation"):
+        decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1"))
 
 
 def test_decide_essa_rzpt_demo8(demo8):
