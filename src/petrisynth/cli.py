@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Optional
 
 from .fileio import (
-    ParseError,
     parse_formula,
     parse_net,
     parse_ts,
@@ -341,10 +340,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, CapExceeded, OSError) as exc:
+    except (ValueError, CapExceeded, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .nettypes import NetType
-from .regions import Region, WitnessSet, solves, support_from_signature
+from .regions import CoverageView, Region, WitnessSet, solves, support_from_signature
 from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
 
 
@@ -85,29 +85,28 @@ def oracle_decide(
 ) -> OracleReport:
     """Decide ssp, essp or solvability by exhausting the region space.
 
-    The witness charges each atom to the first region solving it.  A False
-    answer means the space was fully enumerated and the failing atom has no
-    solving region at all.
+    The witness keeps each candidate that solves a still-open atom, so its
+    coverage, first fit over the kept regions, charges every atom to the
+    region that closed it.  A False answer means the space was fully
+    enumerated and the failing atom has no solving region at all.
     """
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem: {problem}")
     unsolved = enumerate_atoms(ts, problem)
-    witness = WitnessSet()
-    if not unsolved:
-        return OracleReport(True, witness, None, 0)
+    regions: list[Region] = []
+    checked = 0
     try:
-        for checked, region in _candidates(ts, tau, budget or OracleBudget()):
-            newly = [a for a in unsolved if solves(region, tau, a)]
-            if not newly:
-                continue
-            witness.regions.append(region)
-            index = len(witness.regions) - 1
-            for atom in newly:
-                witness.coverage[atom] = index
-            unsolved = [a for a in unsolved if a not in witness.coverage]
-            if not unsolved:
-                return OracleReport(True, witness, None, checked)
+        if unsolved:
+            for checked, region in _candidates(ts, tau, budget or OracleBudget()):
+                rest = [a for a in unsolved if not solves(region, tau, a)]
+                if len(rest) < len(unsolved):
+                    regions.append(region)
+                    unsolved = rest
+                    if not unsolved:
+                        break
     except BudgetExceeded as exc:
         raise BudgetExceeded(exc.checked, unsolved) from None
-    space = (tau.bound + 1) * len(tau.events) ** len(ts.events)
-    return OracleReport(False, None, unsolved[0], space)
+    if unsolved:
+        space = (tau.bound + 1) * len(tau.events) ** len(ts.events)
+        return OracleReport(False, None, unsolved[0], space)
+    return OracleReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, problem)), None, checked)

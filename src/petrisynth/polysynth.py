@@ -239,6 +239,10 @@ def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
     return min(((c[0], c[1]) for c in classes), default=None)
 
 
+# an event's first source and the shared rows of its essa systems
+_EssaShared = tuple[str, tuple[tuple[int, ...], ...]]
+
+
 def _sources(ts: TransitionSystem, event: str) -> list[str]:
     sources = [s for s in ts.states if ts.has_arc(s, event)]
     if not sources:
@@ -246,19 +250,18 @@ def _sources(ts: TransitionSystem, event: str) -> list[str]:
     return sources
 
 
-def _essa_shared_rows(sd: SpanningData, event: str) -> tuple[tuple[int, ...], ...]:
-    """Pre-reduced homogeneous rows valid for every (m,n,sup_init,q) probe:
-    the base system plus the equal-support rows of the event's sources."""
+def _essa_shared_rows(sd: SpanningData, event: str) -> _EssaShared:
+    """The event's first source, and pre-reduced homogeneous rows valid for
+    every (m,n,sup_init,q) probe: the base system plus the equal-support
+    rows of the event's sources."""
     modulus = sd.bound + 1
     first, *others = _sources(sd.ts, event)
     rows = sd.cycles + tuple(_difference(sd.psi[first], sd.psi[o], modulus) for o in others)
-    return modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
+    return first, modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
 
 
 def _essa_layout(
-    sd: SpanningData,
-    atom: SeparationAtom,
-    shared_rows: Optional[tuple[tuple[int, ...], ...]] = None,
+    sd: SpanningData, atom: SeparationAtom, shared: Optional[_EssaShared] = None
 ) -> Callable[[int, int, int, int], modsolve.ModSystem]:
     """The rzpt essa systems of atom = (e, s), by probe (m, n, sup_init, q).
 
@@ -269,9 +272,7 @@ def _essa_layout(
         raise ValueError(f"not an essa atom: {atom}")
     modulus = sd.bound + 1
     event, state = atom.left, atom.right
-    first = _sources(sd.ts, event)[0]
-    if shared_rows is None:
-        shared_rows = _essa_shared_rows(sd, event)
+    first, shared_rows = shared or _essa_shared_rows(sd, event)
     rows = shared_rows + (
         tuple(int(e == event) for e in sd.ts.events),
         sd.psi[first],
@@ -314,7 +315,7 @@ def decide_essa_rzpt(
     bound: int,
     atom: SeparationAtom,
     sd: Optional[SpanningData] = None,
-    shared_rows: Optional[tuple[tuple[int, ...], ...]] = None,
+    shared: Optional[_EssaShared] = None,
 ) -> Optional[Region]:
     """rzpt region disabling an event at a state, or None.
 
@@ -324,7 +325,7 @@ def decide_essa_rzpt(
     its solved group value.
     """
     sd = sd or build_spanning(ts, bound)
-    system = _essa_layout(sd, atom, shared_rows)
+    system = _essa_layout(sd, atom, shared)
     tau = make_type("rzpt", bound)
     values = range(bound + 1)
     for m, n, sup_init, q in itertools.product(values, values, values, range(1, bound + 1)):
@@ -355,7 +356,7 @@ def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
         shared = _essa_shared_rows(sd, event)
         while open_states:
             atom = SeparationAtom.essa(event, open_states[0])
-            region = decide_essa_rzpt(ts, bound, atom, sd=sd, shared_rows=shared)
+            region = decide_essa_rzpt(ts, bound, atom, sd=sd, shared=shared)
             if region is None:
                 return DecisionReport(False, None, atom)
             regions.append(region)

@@ -12,18 +12,24 @@ joining (chains) or a fan-out joining (general members).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .nettypes import Group, NetType, Pair, TauEvent, make_type
-from .regions import Region, RegionCheck, WitnessSet, solves, validate_region
-from .ts import (
-    SeparationAtom,
-    TransitionSystem,
-    is_linear,
-    linear_terminal,
+from .regions import (
+    CoverageView,
+    Region,
+    RegionCheck,
+    WitnessSet,
+    _may_disable,
+    solves,
+    support_from_signature,
+    validate_region,
 )
+from .ts import SeparationAtom, TransitionSystem, _linear_walk, essa_atoms
 
 VARIANTS = ("ppt-essp", "pt-essp", "ssp", "z-essp")
 
@@ -81,7 +87,12 @@ def brute_model(phi: Cm1in3Formula) -> Optional[frozenset[int]]:
 
 @dataclass
 class GadgetUnion:
-    """State-disjoint member TS sharing events, plus the target atom."""
+    """State-disjoint member TS sharing events, plus the target atom.
+
+    Derived data is computed once, on first use: the union as one TS, and,
+    for unions of linear members, each member's path, the runs of its
+    events along it and the run length common to each event.
+    """
 
     variant: str
     bound: int
@@ -90,6 +101,19 @@ class GadgetUnion:
     alpha: SeparationAtom
     events: tuple[str, ...]
 
+    @cached_property
+    def ts(self) -> TransitionSystem:
+        """The disjoint union of the members: their states in member order,
+        the union's events and every member arc.  It is not connected; the
+        first member's initial state stands in as its initial state."""
+        return TransitionSystem(
+            f"{self.variant}.u.b{self.bound}",
+            [s for member in self.members for s in member.states],
+            self.events,
+            [arc for member in self.members for arc in member.arcs()],
+            self.members[0].initial,
+        )
+
     def member_of(self, state: str) -> TransitionSystem:
         for member in self.members:
             if state in member.states:
@@ -97,16 +121,51 @@ class GadgetUnion:
         raise ValueError(f"state not in the union: {state}")
 
     def states(self) -> list[str]:
-        return [s for member in self.members for s in member.states]
+        return list(self.ts.states)
 
     def essa_atoms(self) -> list[SeparationAtom]:
-        atoms = []
-        for e in self.events:
-            for member in self.members:
-                for s in member.states:
-                    if not member.has_arc(s, e):
-                        atoms.append(SeparationAtom.essa(e, s))
-        return atoms
+        return essa_atoms(self.ts)
+
+    @cached_property
+    def _paths(self) -> dict[str, list[str]]:
+        """Each member's states along its path, by member name."""
+        paths = {}
+        for member in self.members:
+            walk = _linear_walk(member)
+            if walk is None:
+                raise ValueError(f"non-linear member: {member.name}")
+            paths[member.name] = walk
+        return paths
+
+    @cached_property
+    def _runs(self) -> dict[str, dict[str, list[tuple[int, int]]]]:
+        """Each member's maximal runs per event as (first edge index, length)."""
+        runs = {}
+        for member in self.members:
+            labels = [member.out_edges(s)[0][0] for s in self._paths[member.name][:-1]]
+            per_event: dict[str, list[tuple[int, int]]] = {}
+            start = 0
+            for event, run in itertools.groupby(labels):
+                length = len(list(run))
+                per_event.setdefault(event, []).append((start, length))
+                start += length
+            runs[member.name] = per_event
+        return runs
+
+    @cached_property
+    def _consistency(self) -> dict[str, int]:
+        """Common run length per event, which must be 1 or the bound."""
+        lengths: dict[str, set[int]] = {}
+        for runs in self._runs.values():
+            for event, event_runs in runs.items():
+                lengths.setdefault(event, set()).update(length for _, length in event_runs)
+        consistent = {}
+        for event in self.events:
+            seen = lengths.get(event, set())
+            if len(seen) != 1 or next(iter(seen)) not in (1, self.bound):
+                raise ValueError(f"event neither 1- nor {self.bound}-consistent: {event}")
+            consistent[event] = next(iter(seen))
+        return consistent
 
 
 def _chain(name: str, labels: Sequence[str]) -> TransitionSystem:
@@ -193,10 +252,9 @@ def build_union(phi: Cm1in3Formula, variant: str, bound: int) -> GadgetUnion:
         raise AssertionError("gadget state names collide across members")
     union = GadgetUnion(variant, bound, phi, tuple(members), alpha, tuple(events))
     if variant != "ssp":
+        ts = union.ts
         for e in events:
-            if not any(
-                not member.has_arc(s, e) for member in members for s in member.states
-            ):
+            if all(ts.has_arc(s, e) for s in ts.states):
                 raise AssertionError(f"event with no separation obligation: {e}")
     return union
 
@@ -218,17 +276,15 @@ def linear_joining(union: GadgetUnion, name: Optional[str] = None) -> Transition
     waypoint state q, and from q over a y event into the next member's
     initial state.  A single member is returned as is.
     """
-    for member in union.members:
-        if not is_linear(member):
-            raise ValueError(f"non-linear member: {member.name}")
+    paths = union._paths
     if len(union.members) == 1:
         return union.members[0]
-    used = set(union.states()) | set(union.events)
+    used = set(union.ts.states) | set(union.events)
     first = union.members[0]
     states = list(first.states)
     events = list(union.events)
     arcs = list(first.arcs())
-    terminal = linear_terminal(first)
+    terminal = paths[first.name][-1]
     for i, member in enumerate(union.members[1:], start=1):
         q = _fresh(f"q{i}", used)
         w = _fresh(f"w{i}", used)
@@ -239,7 +295,7 @@ def linear_joining(union: GadgetUnion, name: Optional[str] = None) -> Transition
         states.extend(member.states)
         events.extend([w, y])
         arcs.extend(member.arcs())
-        terminal = linear_terminal(member)
+        terminal = paths[member.name][-1]
     return TransitionSystem(
         name or f"{union.variant}.lj.b{union.bound}",
         states,
@@ -256,7 +312,7 @@ def joining(union: GadgetUnion, name: Optional[str] = None) -> TransitionSystem:
     a y event into member i's initial state.  Works for non-linear members;
     the result's initial state is q0.
     """
-    used = set(union.states()) | set(union.events)
+    used = set(union.ts.states) | set(union.events)
     n = len(union.members) - 1
     backbone = [_fresh(f"q{i}", used) for i in range(n + 1)]
     ws = [_fresh(f"w{i}", used) for i in range(1, n + 1)]
@@ -301,19 +357,11 @@ def validate_union_region(
     union: GadgetUnion, tau: NetType, region: Region
 ) -> RegionCheck:
     """Region condition over every member arc of the union."""
-    if set(region.sup) != set(union.states()):
+    if set(region.sup) != set(union.ts.states):
         raise ValueError("support map does not match the union states")
     if set(region.sig) != set(union.events):
         raise ValueError("signature map does not match the union events")
-    for member in union.members:
-        restricted = Region(
-            {s: region.sup[s] for s in member.states},
-            {e: region.sig[e] for e in member.events},
-        )
-        check = validate_region(member, tau, restricted)
-        if not check.ok:
-            return check
-    return RegionCheck(True)
+    return validate_region(union.ts, tau, region)
 
 
 def _propagate(
@@ -327,10 +375,9 @@ def _propagate(
 
     Events outside overrides get the default (the do-nothing pair).  Raises
     when a member's support cannot be propagated; templates are never
-    silently repaired.
+    silently repaired.  Propagation walks every member arc, so a returned
+    region satisfies the region condition on the whole union.
     """
-    from .regions import support_from_signature
-
     if default is None:
         default = Pair(0, 0)
     sig = {e: overrides.get(e, default) for e in union.events}
@@ -345,13 +392,10 @@ def _propagate(
     return Region(sup, sig)
 
 
-def _inits(union: GadgetUnion, high_classes: str) -> dict[str, int]:
-    """Initial supports by gadget class: bound for members whose name
-    starts with a class letter in high_classes, 0 otherwise."""
-    return {
-        member.name: union.bound if member.name[0] in high_classes else 0
-        for member in union.members
-    }
+def _inits(union: GadgetUnion, **per_class: int) -> dict[str, int]:
+    """Initial supports by gadget class: per_class maps the first letter of
+    a member's name to its initial support, 0 for the classes left out."""
+    return {member.name: per_class.get(member.name[0], 0) for member in union.members}
 
 
 def _alpha_template(
@@ -364,7 +408,7 @@ def _alpha_template(
         for j in range(union.formula.m):
             sig[f"v{j}"] = Group(0) if j in model else Group(1)
             sig[f"X{j}"] = Group(1) if j in model else Group(0)
-        return _inits(union, ""), sig
+        return _inits(union), sig
     sig = {"k": Pair(0, 1), "o0": Pair(b, 0)}
     for j in range(4):
         sig[f"k{j}"] = Pair(0, b)
@@ -372,14 +416,14 @@ def _alpha_template(
         sig[f"X{v}"] = Pair(1, 0)
     if variant == "ppt-essp":
         sig["o1"] = Pair(b, 0)
-        return _inits(union, "dg"), sig
+        return _inits(union, d=b, g=b), sig
     if variant == "pt-essp":
         sig["z"] = Pair(b, b)
         sig["o1"] = Pair(1, 0)
-        return _inits(union, "cg"), sig
+        return _inits(union, c=b, g=b), sig
     sig["o1"] = Pair(b, 0)
     sig["o2"] = Pair(b, 0)
-    return _inits(union, "dg"), sig
+    return _inits(union, d=b, g=b), sig
 
 
 def alpha_witness_region(
@@ -391,7 +435,8 @@ def alpha_witness_region(
     extended over the joined TS: waypoint states inherit the atom state's
     support and connector events get the signature moving between the
     supports they bridge (pure pairs, or groups for the modulo variant).
-    Both levels are validated.
+    Both levels are validated: the union level by the propagation that
+    builds it, the joined level, with its connector arcs, afterwards.
     """
     if not is_model(phi, model):
         raise ValueError("assignment is not a one-in-three model")
@@ -400,9 +445,6 @@ def alpha_witness_region(
     inits, overrides = _alpha_template(union, model)
     default = Group(0) if variant == "z-essp" else Pair(0, 0)
     union_region = _propagate(union, tau, inits, overrides, default)
-    check = validate_union_region(union, tau, union_region)
-    if not check.ok:
-        raise ValueError(f"alpha template fails validation: {check.reason}")
     if not solves(union_region, tau, union.alpha):
         raise ValueError(f"alpha template does not solve {union.alpha}")
     joined = joining(union) if variant == "z-essp" else linear_joining(union)
@@ -439,50 +481,6 @@ def _extend_to_joined(
     return Region(sup, sig)
 
 
-def _linear_paths(union: GadgetUnion) -> dict[str, list[str]]:
-    paths = {}
-    for member in union.members:
-        if not is_linear(member):
-            raise ValueError(f"non-linear member: {member.name}")
-        walk = [member.initial]
-        while True:
-            out = member.out_edges(walk[-1])
-            if not out:
-                break
-            walk.append(out[0][1])
-        paths[member.name] = walk
-    return paths
-
-
-def _runs(member: TransitionSystem, path: list[str]) -> dict[str, list[tuple[int, int]]]:
-    """Maximal runs per event as (first edge index, length)."""
-    labels = [member.out_edges(s)[0][0] for s in path[:-1]]
-    runs: dict[str, list[tuple[int, int]]] = {}
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and labels[j] == labels[i]:
-            j += 1
-        runs.setdefault(labels[i], []).append((i, j - i))
-        i = j
-    return runs
-
-
-def _consistency(union: GadgetUnion, paths: dict[str, list[str]]) -> dict[str, int]:
-    """Common run length per event, which must be 1 or the bound."""
-    lengths: dict[str, set[int]] = {}
-    for member in union.members:
-        for event, runs in _runs(member, paths[member.name]).items():
-            lengths.setdefault(event, set()).update(length for _, length in runs)
-    consistent = {}
-    for event in union.events:
-        seen = lengths.get(event, set())
-        if len(seen) != 1 or next(iter(seen)) not in (1, union.bound):
-            raise ValueError(f"event neither 1- nor {union.bound}-consistent: {event}")
-        consistent[event] = next(iter(seen))
-    return consistent
-
-
 def lemma6_case(union: GadgetUnion, atom: SeparationAtom) -> tuple[int, Optional[str]]:
     """Which generic-region case applies to the atom, with its helper event.
 
@@ -491,12 +489,12 @@ def lemma6_case(union: GadgetUnion, atom: SeparationAtom) -> tuple[int, Optional
     """
     if atom.kind != "essa":
         raise ValueError(f"not an essa atom: {atom}")
-    paths = _linear_paths(union)
+    paths = union._paths
     member = union.member_of(atom.right)
     path = paths[member.name]
     if atom.left not in member.events:
         return 1, None
-    start, length = _runs(member, path)[atom.left][0]
+    start, length = union._runs[member.name][atom.left][0]
     q_index = path.index(atom.right)
     if q_index >= start + length:
         return 1, None
@@ -523,13 +521,10 @@ def lemma6_region(
     side conditions are checked and violations raise; the region is
     validated and must solve the atom.
     """
-    paths = _linear_paths(union)
-    consistent = _consistency(union, paths)
+    consistent = union._consistency
     b = union.bound
     event = atom.left
-    runs_by_member = {
-        member.name: _runs(member, paths[member.name]) for member in union.members
-    }
+    runs_by_member = union._runs
     for member in union.members:
         if event in member.events and len(runs_by_member[member.name][event]) != 1:
             raise ValueError(f"event not thinly distributed: {event}")
@@ -570,9 +565,6 @@ def lemma6_region(
         }
     tau = make_type("ppt", b)
     region = _propagate(union, tau, inits, overrides)
-    check = validate_union_region(union, tau, region)
-    if not check.ok:
-        raise ValueError(f"generic region fails validation: {check.reason}")
     if not solves(region, tau, atom):
         raise ValueError(f"generic region does not solve {atom}")
     return region
@@ -589,24 +581,15 @@ def _ppt_library(
     that gap; everything else falls to lemma6_region.
     """
     b = union.bound
-
-    def ini(**per_class: int) -> dict[str, int]:
-        return {
-            member.name: per_class.get(member.name[0], 0)
-            for member in union.members
-        }
-
-    plans: list[tuple[dict[str, int], dict[str, TauEvent]]] = []
-    a_inits, a_sig = _alpha_template(union, model)
-    plans.append((a_inits, a_sig))
+    plans = [_alpha_template(union, model)]
     plans.append(
-        (ini(d=b, f=b, g=b, m=b, t=b), {"k": Pair(0, 1), "y0": Pair(b, 0)})
+        (_inits(union, d=b, f=b, g=b, m=b, t=b), {"k": Pair(0, 1), "y0": Pair(b, 0)})
     )
-    plans.append((ini(h=1), {"y0": Pair(1, 0), "o0": Pair(0, b)}))
+    plans.append((_inits(union, h=1), {"y0": Pair(1, 0), "o0": Pair(0, b)}))
     if b >= 2:
         plans.append(
             (
-                {**ini(), "d3": b},
+                {**_inits(union), "d3": b},
                 {
                     "y0": Pair(0, 1),
                     "y1": Pair(0, b - 2),
@@ -620,7 +603,7 @@ def _ppt_library(
     else:
         plans.append(
             (
-                {**ini(), "d3": 1},
+                {**_inits(union), "d3": 1},
                 {
                     "y1": Pair(0, 1),
                     "o1": Pair(1, 0),
@@ -631,27 +614,20 @@ def _ppt_library(
             )
         )
         plans.append(
-            (ini(h=1), {"y0": Pair(1, 0), "y1": Pair(0, 1), "o1": Pair(0, 1)})
+            (_inits(union, h=1), {"y0": Pair(1, 0), "y1": Pair(0, 1), "o1": Pair(0, 1)})
         )
     plans.append(
         (
-            ini(d=b - 1, g=b - 1),
+            _inits(union, d=b - 1, g=b - 1),
             {"y0": Pair(0, b), "o0": Pair(b - 1, 0), "y1": Pair(1, 0)},
         )
     )
-    plans.append((ini(), {"k": Pair(0, 1), "y0": Pair(b, 0)}))
+    plans.append((_inits(union), {"k": Pair(0, 1), "y0": Pair(b, 0)}))
     plans.append(
-        (ini(d=b, g=b), {"k": Pair(0, 1), "o0": Pair(b, 0), "y1": Pair(b, 0)})
+        (_inits(union, d=b, g=b), {"k": Pair(0, 1), "o0": Pair(b, 0), "y1": Pair(b, 0)})
     )
-    plans.append((ini(), {"o0": Pair(0, b), "y1": Pair(b, 0)}))
-    regions = []
-    for inits, overrides in plans:
-        region = _propagate(union, tau, inits, overrides)
-        check = validate_union_region(union, tau, region)
-        if not check.ok:
-            raise AssertionError(f"library region fails validation: {check.reason}")
-        regions.append(region)
-    return regions
+    plans.append((_inits(union), {"o0": Pair(0, b), "y1": Pair(b, 0)}))
+    return [_propagate(union, tau, inits, overrides) for inits, overrides in plans]
 
 
 def ppt_essp_witness(
@@ -661,23 +637,24 @@ def ppt_essp_witness(
     formula: every atom of the union is charged to a solving region.
 
     Regions come from the hand-built library first, then from the generic
-    construction, one region per still-open event and case, deduplicated.
+    construction: per event, in essa_atoms order, one region for the first
+    atom no region solves so far, so the regions are pairwise distinct.
+    Each event keeps its list of open states, tested only against the
+    regions whose signature of the event can be undefined.
     """
     if not is_model(phi, model):
         raise ValueError("assignment is not a one-in-three model")
     union = build_union(phi, "ppt-essp", bound)
     tau = make_type("ppt", bound)
-    witness = WitnessSet(_ppt_library(union, tau, model), {})
-    for atom in union.essa_atoms():
-        for i, region in enumerate(witness.regions):
-            if solves(region, tau, atom):
-                witness.coverage[atom] = i
-                break
-        else:
-            case, _ = lemma6_case(union, atom)
-            region = lemma6_region(union, atom, case)
-            if region in witness.regions:
-                raise AssertionError(f"fresh region already present for {atom}")
-            witness.regions.append(region)
-            witness.coverage[atom] = len(witness.regions) - 1
-    return union, witness
+    ts = union.ts
+    regions = _ppt_library(union, tau, model)
+    for event in union.events:
+        candidates = [r for r in regions if _may_disable(tau, r.sig[event])]
+        atoms = [SeparationAtom.essa(event, s) for s in ts.states if not ts.has_arc(s, event)]
+        atoms = [atom for atom in atoms if not any(solves(r, tau, atom) for r in candidates)]
+        while atoms:
+            case, _ = lemma6_case(union, atoms[0])
+            region = lemma6_region(union, atoms[0], case)
+            regions.append(region)
+            atoms = [atom for atom in atoms[1:] if not solves(region, tau, atom)]
+    return union, WitnessSet(regions, CoverageView(ts, tau, regions, "essp"))

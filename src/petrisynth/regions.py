@@ -38,12 +38,11 @@ class WitnessSet:
     """Regions plus the atom coverage they were assembled for.
 
     coverage maps each atom to the index (into regions) of the first region
-    that solves it.  It is a plain dict where a witness is assembled atom by
-    atom (build_witness, the oracle, the reductions).  The polynomial
-    deciders hand out a CoverageView instead: a read-only lazy mapping that
-    supports len, iteration and lookup but not item assignment, so a
-    decision costs O(|S|*regions) plus one linear solve batch per region
-    rather than a stored entry per atom.
+    that solves it.  build_witness, which also charges partial witnesses,
+    stores it as a plain dict.  Every complete witness (the polynomial
+    deciders, the oracle, ppt_essp_witness) hands out a CoverageView
+    instead: a read-only lazy mapping that supports len, iteration and
+    lookup but not item assignment, so nothing is stored per atom.
     """
 
     regions: list[Region] = field(default_factory=list)
@@ -122,13 +121,16 @@ class CoverageView(Mapping):
     def _partial_on(self, event: str) -> list[int]:
         found = self._partial[event]
         if found is None:
-            values = range(self._tau.bound + 1)
             found = self._partial[event] = [
-                i
-                for i, r in enumerate(self._regions)
-                if any(delta_tau(self._tau, v, r.sig[event]) is None for v in values)
+                i for i, r in enumerate(self._regions) if _may_disable(self._tau, r.sig[event])
             ]
         return found
+
+
+def _may_disable(tau: NetType, event: TauEvent) -> bool:
+    """Whether the tau event is undefined at some support: a region solves
+    an essa atom (e, s) only if its signature of e is such an event."""
+    return any(delta_tau(tau, v, event) is None for v in range(tau.bound + 1))
 
 
 @dataclass

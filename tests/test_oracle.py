@@ -2,7 +2,7 @@ import pytest
 
 from petrisynth.nettypes import make_type
 from petrisynth.oracle import BudgetExceeded, OracleBudget, enumerate_regions, oracle_decide
-from petrisynth.regions import check_witness, validate_region
+from petrisynth.regions import build_witness, check_witness, validate_region
 from petrisynth.ts import SeparationAtom
 
 PPT1 = make_type("ppt", 1)
@@ -66,3 +66,18 @@ def test_enumerate_regions_order_and_budget(a2):
         list(enumerate_regions(a2, ZPPT2, budget=OracleBudget(max_candidates=2)))
     assert info.value.checked == 2
     assert info.value.remaining is None
+
+
+def test_oracle_coverage_is_first_fit(a1, a2):
+    from petrisynth.ts import TransitionSystem
+
+    chain = TransitionSystem("chain", ["s0", "s1", "s2"], ["a", "b"], [("s0", "a", "s1"), ("s1", "b", "s2")], "s0")
+    for ts in (a1, a2, chain):
+        for tau in (PPT1, PT1, ZPPT2):
+            for problem in ("ssp", "essp", "solvability"):
+                report = oracle_decide(ts, tau, problem)
+                if not report.answer:
+                    continue
+                first_fit, missing = build_witness(ts, tau, report.witness.regions, problem)
+                assert missing == []
+                assert list(report.witness.coverage.items()) == list(first_fit.coverage.items())

@@ -340,3 +340,20 @@ def test_synthesis_probes_each_region_once(monkeypatch):
     report = synthesize_rzpt(ts, 2)
     assert report.net is not None
     assert 0 < len(calls) <= len(report.witness.regions)
+
+
+def test_essp_scans_sources_once_per_event(monkeypatch):
+    # the first source of an event is found with its shared rows, not
+    # again for every atom
+    ts = reachability_graph(group_heavy_net())
+    calls = []
+    original = polysynth._sources
+
+    def counting(ts, event):
+        calls.append(event)
+        return original(ts, event)
+
+    monkeypatch.setattr(polysynth, "_sources", counting)
+    report = decide_essp_rzpt(ts, 2)
+    assert report.holds
+    assert calls == [e for e in ts.events if any(not ts.has_arc(s, e) for s in ts.states)]

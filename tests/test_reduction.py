@@ -1,5 +1,7 @@
 import pytest
 
+from petrisynth import reduction
+from petrisynth import ts as ts_module
 from petrisynth.nettypes import Pair, make_type
 from petrisynth.reduction import (
     AlphaWitness,
@@ -17,8 +19,8 @@ from petrisynth.reduction import (
     ppt_essp_witness,
     validate_union_region,
 )
-from petrisynth.regions import Region, solves, validate_region
-from petrisynth.ts import SeparationAtom, grade, is_linear, validate
+from petrisynth.regions import Region, build_witness, solves, validate_region
+from petrisynth.ts import SeparationAtom, essa_atoms, grade, is_linear, validate
 
 
 def cyclic_formula(m):
@@ -249,3 +251,52 @@ def test_ppt_essp_witness_full_coverage(example_formula):
 def test_ppt_essp_witness_rejects_non_model(example_formula):
     with pytest.raises(ValueError, match="assignment is not a one-in-three model"):
         ppt_essp_witness(example_formula, frozenset(), 1)
+
+
+def test_union_ts_is_the_disjoint_union(example_formula):
+    union = build_union(example_formula, "ppt-essp", 2)
+    ts = union.ts
+    assert ts is union.ts
+    assert list(ts.states) == [s for member in union.members for s in member.states]
+    assert ts.events == union.events
+    assert ts.arcs() == tuple(arc for member in union.members for arc in member.arcs())
+    assert ts.initial == union.members[0].initial
+    assert essa_atoms(ts) == union.essa_atoms()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_ppt_essp_witness_is_first_fit(example_formula, bound):
+    # the independent checker charges every atom, and to the same region
+    union, witness = ppt_essp_witness(example_formula, frozenset({0, 4}), bound)
+    tau = make_type("ppt", bound)
+    rebuilt, missing = build_witness(union.ts, tau, witness.regions, "essp")
+    assert missing == []
+    assert list(rebuilt.coverage.items()) == list(witness.coverage.items())
+
+
+def test_ppt_essp_witness_walks_each_member_once(example_formula, monkeypatch):
+    calls = []
+    original = ts_module._linear_walk
+
+    def counting(member):
+        calls.append(member.name)
+        return original(member)
+
+    monkeypatch.setattr(ts_module, "_linear_walk", counting)
+    monkeypatch.setattr(reduction, "_linear_walk", counting, raising=False)
+    union, _ = ppt_essp_witness(example_formula, frozenset({0, 4}), 2)
+    assert sorted(calls) == sorted(member.name for member in union.members)
+
+
+@pytest.mark.filterwarnings("ignore:connector name collides")
+def test_broken_template_raises(example_formula, monkeypatch):
+    # k takes a token nobody has placed: the head h1 cannot fire its
+    # first arc, so propagation refuses the template
+    monkeypatch.setattr(
+        reduction, "_alpha_template", lambda union, model: (reduction._inits(union), {"k": Pair(1, 0)})
+    )
+    model = frozenset({0, 4})
+    with pytest.raises(ValueError, match="template support fails on member h1"):
+        alpha_witness_region(example_formula, model, "ppt-essp", 2)
+    with pytest.raises(ValueError, match="template support fails on member h1"):
+        ppt_essp_witness(example_formula, model, 2)
