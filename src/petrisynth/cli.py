@@ -49,16 +49,18 @@ def _env_budget() -> Optional[int]:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+    return _positive(BUDGET_ENV, value)
+
+
+def _positive(name: str, value: int) -> int:
     if value < 1:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
 def _oracle_budget(flag: Optional[int] = None) -> OracleBudget:
     if flag is not None:
-        if flag < 1:
-            raise ValueError(f"--budget must be positive, got {flag}")
-        return OracleBudget(flag)
+        return OracleBudget(_positive("--budget", flag))
     from_env = _env_budget()
     if from_env is not None:
         return OracleBudget(from_env)
@@ -117,14 +119,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         rep = decide_ssp(ts, tau)
         answer, failing, method = rep.holds, rep.failing, "polynomial"
     elif args.family == "rzpt":
-        essp = decide_essp_rzpt(ts, args.b)
-        if args.problem == "essp":
-            answer, failing = essp.holds, essp.failing
-        else:
-            ssp = decide_ssp(ts, tau) if essp.holds else essp
-            answer = essp.holds and ssp.holds
-            failing = essp.failing if not essp.holds else ssp.failing
-        method = "polynomial"
+        # ssp first, as in synthesize_rzpt, so both name the same failing atom
+        rep = decide_ssp(ts, tau) if args.problem == "solvability" else None
+        if rep is None or rep.holds:
+            rep = decide_essp_rzpt(ts, args.b)
+        answer, failing, method = rep.holds, rep.failing, "polynomial"
     else:
         warnings.warn(
             f"{args.problem} over {args.family} has no polynomial decider; "
@@ -149,8 +148,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     out = _Output(args.json, "synthesize")
     out.report.update({"bound": args.b, "input": args.input})
+    cap = _positive("--cap", args.cap)
     ts = _read_ts(args.input)
-    rep = synthesize_rzpt(ts, args.b, cap=args.cap)
+    rep = synthesize_rzpt(ts, args.b, cap=cap)
     if rep.net is None:
         out.say(
             f"not rzpt-synthesizable at b={args.b} (unsolvable: {rep.failing})",
@@ -171,8 +171,9 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_reachability(args: argparse.Namespace) -> int:
     out = _Output(args.json, "reachability")
     out.report.update({"input": args.input})
+    cap = _positive("--cap", args.cap)
     net = parse_net(Path(args.input).read_text(encoding="utf-8"))
-    graph = reachability_graph(net, cap=args.cap)
+    graph = reachability_graph(net, cap=cap)
     target = (
         Path(args.output)
         if args.output

@@ -74,8 +74,7 @@ def solve(system: ModSystem) -> Optional[tuple[int, ...]]:
     """
     m = system.modulus
     n = system.cols
-    augmented = [list(row) + [b] for row, b in zip(system.rows, system.rhs)]
-    basis = _howell(m, augmented, n + 1)
+    basis = _howell(m, [row + (b,) for row, b in zip(system.rows, system.rhs)], n + 1)
     if n in basis:
         # a pivot in the rhs column is an equation 0 = c with c != 0
         return None
@@ -97,16 +96,18 @@ def reduce_rows(modulus: int, rows: Sequence[Sequence[int]], cols: int) -> tuple
     """Basis rows spanning the same Z_modulus row module as the input.
 
     Useful for preprocessing a shared homogeneous block once and reusing it
-    across many one-extra-row systems.
+    across many one-extra-row systems.  Entries may lie outside 0..modulus-1.
     """
-    basis = _howell(modulus, [list(r) for r in rows], cols)
+    basis = _howell(modulus, [[v % modulus for v in r] for r in rows], cols)
     return tuple(tuple(basis[j]) for j in sorted(basis))
 
 
-def _howell(m: int, rows: list[list[int]], width: int) -> dict[int, list[int]]:
-    """Echelon basis keyed by pivot column, closed under annihilators."""
-    basis: dict[int, list[int]] = {}
-    pending = [[v % m for v in row] for row in rows]
+def _howell(m: int, pending: list[Sequence[int]], width: int) -> dict[int, Sequence[int]]:
+    """Echelon basis keyed by pivot column, closed under annihilators.
+
+    Takes rows already reduced into 0..m-1 and consumes the list, not them.
+    """
+    basis: dict[int, Sequence[int]] = {}
     while pending:
         row = pending.pop(0)
         col = _leading(row, width)
@@ -135,7 +136,7 @@ def _howell(m: int, rows: list[list[int]], width: int) -> dict[int, list[int]]:
     return basis
 
 
-def _leading(row: list[int], width: int) -> Optional[int]:
+def _leading(row: Sequence[int], width: int) -> Optional[int]:
     for j in range(width):
         if row[j]:
             return j

@@ -14,7 +14,7 @@ all sources of its event to one support value -- again linear.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -41,7 +41,8 @@ class SpanningData:
     parent maps every non-initial state to its tree arc (src, event, dst);
     chords are the non-tree arcs in input arc order; psi[s] counts, per
     event in declared order, the occurrences along the tree path from the
-    initial state to s.
+    initial state to s.  _essa_rows keeps, per event and from its first
+    use, the event's first source and its essa systems' reduced shared rows.
     """
 
     ts: TransitionSystem
@@ -49,6 +50,7 @@ class SpanningData:
     parent: dict[str, tuple[str, str, str]]
     chords: tuple[tuple[str, str, str], ...]
     psi: dict[str, tuple[int, ...]]
+    _essa_rows: dict[str, tuple[str, tuple]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -60,8 +62,7 @@ class SpanningData:
     @cached_property
     def reduced_cycles(self) -> tuple[tuple[int, ...], ...]:
         """The base system's rows in reduced form, shared by every ssa probe."""
-        base = base_system(self)
-        return modsolve.reduce_rows(base.modulus, base.rows, base.cols)
+        return modsolve.reduce_rows(self.bound + 1, self.cycles, len(self.ts.events))
 
 
 @dataclass(frozen=True)
@@ -239,10 +240,6 @@ def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
     return min(((c[0], c[1]) for c in classes), default=None)
 
 
-# an event's first source and the shared rows of its essa systems
-_EssaShared = tuple[str, tuple[tuple[int, ...], ...]]
-
-
 def _sources(ts: TransitionSystem, event: str) -> list[str]:
     sources = [s for s in ts.states if ts.has_arc(s, event)]
     if not sources:
@@ -250,29 +247,24 @@ def _sources(ts: TransitionSystem, event: str) -> list[str]:
     return sources
 
 
-def _essa_shared_rows(sd: SpanningData, event: str) -> _EssaShared:
-    """The event's first source, and pre-reduced homogeneous rows valid for
-    every (m,n,sup_init,q) probe: the base system plus the equal-support
-    rows of the event's sources."""
-    modulus = sd.bound + 1
-    first, *others = _sources(sd.ts, event)
-    rows = sd.cycles + tuple(_difference(sd.psi[first], sd.psi[o], modulus) for o in others)
-    return first, modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
-
-
 def _essa_layout(
-    sd: SpanningData, atom: SeparationAtom, shared: Optional[_EssaShared] = None
+    sd: SpanningData, atom: SeparationAtom
 ) -> Callable[[int, int, int, int], modsolve.ModSystem]:
     """The rzpt essa systems of atom = (e, s), by probe (m, n, sup_init, q).
 
-    The rows are laid out once per atom; only the right-hand side depends
-    on the probe.  See essa_system for the row order.
+    The rows are laid out once per atom, from a shared block reduced once
+    per event; only the right-hand side depends on the probe.  See
+    essa_system for the row order.
     """
     if atom.kind != "essa":
         raise ValueError(f"not an essa atom: {atom}")
     modulus = sd.bound + 1
     event, state = atom.left, atom.right
-    first, shared_rows = shared or _essa_shared_rows(sd, event)
+    if event not in sd._essa_rows:
+        first, *others = _sources(sd.ts, event)
+        rows = sd.cycles + tuple(_difference(sd.psi[first], sd.psi[o], modulus) for o in others)
+        sd._essa_rows[event] = first, modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
+    first, shared_rows = sd._essa_rows[event]
     rows = shared_rows + (
         tuple(int(e == event) for e in sd.ts.events),
         sd.psi[first],
@@ -315,22 +307,24 @@ def decide_essa_rzpt(
     bound: int,
     atom: SeparationAtom,
     sd: Optional[SpanningData] = None,
-    shared: Optional[_EssaShared] = None,
 ) -> Optional[Region]:
     """rzpt region disabling an event at a state, or None.
 
-    Iterates pairs (m,n) lexicographically over the rzpt pairs (so (0,0) is
-    skipped), then sup_init 0..b, then q 1..b.  The first solvable system
-    is concretized: the event gets the pair signature, every other event
-    its solved group value.
+    The first solvable essa_system probe (m,n,sup_init,q), in lexicographic
+    order over the rzpt pairs, sup_init 0..b and q 1..b, is concretized:
+    the event gets the pair signature, every other event its solved group
+    value.  A probe only sets the right-hand side (n-m, m-sup_init, q) mod
+    b+1, so the pairs (0,1)..(0,b), (1,1) alone meet each distinct system
+    once, where that order first meets it: b(b+1)^2 solves, not
+    b(b+1)^3 - b(b+1), for an unsolvable atom.
     """
     sd = sd or build_spanning(ts, bound)
-    system = _essa_layout(sd, atom, shared)
+    system = _essa_layout(sd, atom)
     tau = make_type("rzpt", bound)
-    values = range(bound + 1)
-    for m, n, sup_init, q in itertools.product(values, values, values, range(1, bound + 1)):
-        if m == 0 and n == 0:
-            continue
+    # (1,0) and (1,n>=2) repeat (0, n-1 mod b+1) at sup_init-1, and every
+    # pair with m >= 2 repeats one with m = 1
+    pairs = [(0, n) for n in range(1, bound + 1)] + [(1, 1)]
+    for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1)):
         x = modsolve.solve(system(m, n, sup_init, q))
         if x is not None:
             sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
@@ -353,10 +347,9 @@ def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
         open_states = [s for s in ts.states if not ts.has_arc(s, event)]
         if not open_states:
             continue
-        shared = _essa_shared_rows(sd, event)
         while open_states:
             atom = SeparationAtom.essa(event, open_states[0])
-            region = decide_essa_rzpt(ts, bound, atom, sd=sd, shared=shared)
+            region = decide_essa_rzpt(ts, bound, atom, sd=sd)
             if region is None:
                 return DecisionReport(False, None, atom)
             regions.append(region)

@@ -7,7 +7,7 @@ from petrisynth.cli import main
 from petrisynth.fileio import parse_net, parse_ts, serialize_formula, serialize_ts
 from petrisynth.nets import reachability_graph
 from petrisynth.reduction import Cm1in3Formula
-from petrisynth.ts import deterministic_isomorphism
+from petrisynth.ts import TransitionSystem, deterministic_isomorphism
 
 
 @pytest.fixture
@@ -34,6 +34,28 @@ def test_check_polynomial_no(a2_file, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert out == "solvability over rzpt at b=1: no (unsolvable: ssa(s0,s1))\n"
+
+
+def test_check_solvability_decides_ssp_first(tmp_path, capsys):
+    # ssa(s0,s1) and essa(a,s0) are both unsolvable at b=1; check must
+    # name the same atom as synthesize and the oracle
+    ts = TransitionSystem(
+        "r945989",
+        ["s0", "s1", "s2", "s3", "s4"],
+        ["a", "b"],
+        [("s0", "b", "s1"), ("s1", "b", "s2"), ("s1", "a", "s3"), ("s2", "a", "s4"),
+         ("s2", "b", "s2"), ("s3", "a", "s0"), ("s4", "a", "s4"), ("s4", "b", "s4")],
+        "s0",
+    )
+    path = tmp_path / "r.ts"
+    path.write_text(serialize_ts(ts))
+    for problem, atom in (("solvability", "ssa(s0,s1)"), ("essp", "essa(a,s0)"), ("ssp", "ssa(s0,s1)")):
+        assert main(["check", "--family", "rzpt", "--b", "1", "--problem", problem, str(path)]) == 1
+        assert capsys.readouterr().out == f"{problem} over rzpt at b=1: no (unsolvable: {atom})\n"
+    assert main(["synthesize", "--b", "1", str(path)]) == 1
+    assert "(unsolvable: ssa(s0,s1))" in capsys.readouterr().out
+    assert main(["oracle", "--family", "rzpt", "--b", "1", "--problem", "solvability", str(path)]) == 1
+    assert "(unsolvable: ssa(s0,s1))" in capsys.readouterr().out
 
 
 def test_check_refuses_pure_families(a2_file, capsys):
@@ -76,6 +98,22 @@ def test_bad_budget_flag(a2_file, capsys):
         captured = capsys.readouterr()
         assert f"error: --budget must be positive, got {bad}" in captured.err
         assert "inconclusive" not in captured.out
+
+
+def test_bad_cap_flag(a2_file, tmp_path, capsys):
+    # rejected before any work, not reported as an exceeded cap afterwards
+    assert main(["synthesize", "--b", "2", str(a2_file)]) == 0
+    net_path = tmp_path / "a2.net"
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        for argv in (["synthesize", "--b", "2", "-o", str(tmp_path / "bad.net")], ["reachability"]):
+            path = a2_file if argv[0] == "synthesize" else net_path
+            assert main(argv + ["--cap", bad, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --cap must be positive, got {bad}\n"
+            assert captured.out == ""
+    assert not (tmp_path / "bad.net").exists()
+    assert not (tmp_path / "a2.rg.ts").exists()
 
 
 def test_synthesize_reachability_iso_pipeline(a2_file, a2, tmp_path, capsys):

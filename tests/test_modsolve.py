@@ -104,6 +104,11 @@ def test_reduce_rows_drops_redundancy():
     assert (2, 1) in reduced4 and len(reduced4) == 2
 
 
+def test_reduce_rows_reduces_its_input():
+    # the solver core takes reduced rows; reduce_rows reduces callers' rows
+    assert reduce_rows(4, [(6, -1)], 2) == reduce_rows(4, [(2, 3)], 2)
+
+
 def test_solve_honors_rhs_only_in_reduced_space():
     # x + y = 1, x + y = 3 (mod 4) is contradictory
     system = make_system(4, [[1, 1], [1, 1]], [1, 3])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -112,6 +113,46 @@ def test_decide_essp_rzpt_demo8(demo8):
     assert not report.holds
     assert report.failing == SeparationAtom.essa("a", "5")
     assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("a", "5")) is None
+
+
+def essa_reference(ts, bound, atom):
+    """The probe loop decide_essa_rzpt replaces: every rzpt pair (m,n),
+    then sup_init 0..b, then q 1..b, one essa_system solve each."""
+    sd = build_spanning(ts, bound)
+    tau = make_type("rzpt", bound)
+    values = range(bound + 1)
+    for m, n, sup_init, q in itertools.product(values, values, values, range(1, bound + 1)):
+        if m == 0 and n == 0:
+            continue
+        x = modsolve.solve(essa_system(ts, bound, atom, m, n, sup_init, q, sd=sd))
+        if x is not None:
+            sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
+            return support_from_signature(ts, tau, sup_init, sig)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), bound=st.sampled_from([1, 2, 3, 5]))
+def test_essa_probes_match_full_product(seed, bound):
+    ts = random_ts(random.Random(seed), max_states=6, max_events=3)
+    sd = build_spanning(ts, bound)
+    for atom in essa_atoms(ts):
+        assert decide_essa_rzpt(ts, bound, atom, sd=sd) == essa_reference(ts, bound, atom), atom
+
+
+def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
+    # b(b+1)^2 distinct right-hand sides at b=2; the full product is 48
+    calls = []
+    original = modsolve.solve
+
+    def counting(system):
+        calls.append(system.rhs[-3:])
+        return original(system)
+
+    monkeypatch.setattr(modsolve, "solve", counting)
+    assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("a", "5")) is None
+    assert len(calls) == 18
+    assert len(set(calls)) == 18
 
 
 def test_decide_ssa_family_guard(a2):
