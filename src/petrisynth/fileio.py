@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .nets import PetriNet
-from .nettypes import FAMILIES, Group, Pair, format_event, make_type, parse_event
+from .nettypes import FAMILIES, format_event, make_type, parse_event
 from .reduction import Cm1in3Formula
 from .ts import TransitionSystem, validate
 
@@ -176,7 +176,6 @@ def parse_net(text: str) -> PetriNet:
         net_type = make_type(family, bound)
     except ValueError as exc:
         raise ParseError(lines[0][0], str(exc)) from exc
-    default = Pair(0, 0) if family in ("pt", "ppt") else Group(0)
     flow = {}
     place_names = [p for p, _ in places]
     for number, place, transition, spec in flow_lines:
@@ -197,7 +196,7 @@ def parse_net(text: str) -> PetriNet:
         flow[(place, transition)] = event
     for place in place_names:
         for transition in transitions:
-            flow.setdefault((place, transition), default)
+            flow.setdefault((place, transition), net_type.neutral)
     try:
         return PetriNet(name, net_type, places, transitions, flow)
     except ValueError as exc:
@@ -206,7 +205,6 @@ def parse_net(text: str) -> PetriNet:
 
 def serialize_net(net: PetriNet) -> str:
     family = net.net_type.family
-    default = Pair(0, 0) if family in ("pt", "ppt") else Group(0)
     out = [
         f".net {net.name}",
         f".family {family}",
@@ -217,7 +215,7 @@ def serialize_net(net: PetriNet) -> str:
     for p, _ in net.places:
         for t in net.transitions:
             event = net.flow[(p, t)]
-            if event != default:
+            if event != net.net_type.neutral:
                 out.append(f".flow {p} {t} {format_event(event)}")
     return "\n".join(out) + "\n"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Mapping, Optional
 
-from .nettypes import NetType, TauEvent, delta_tau
+from .nettypes import NetType, TauEvent
 from .ts import TransitionSystem
 
 Marking = tuple[int, ...]
@@ -25,7 +25,8 @@ class CapExceeded(RuntimeError):
 
 
 class PetriNet:
-    """Net with named places (and their initial marking) and transitions."""
+    """Net with named places (and their initial marking) and transitions,
+    treated as immutable once built: fire reads the steps tabled here."""
 
     def __init__(
         self,
@@ -58,10 +59,12 @@ class PetriNet:
                 raise ValueError(f"flow references unknown transition: {t}")
             if not net_type.is_event(e):
                 raise ValueError(f"flow event outside {net_type}: {e}")
+        self._steps: dict[str, list] = {t: [] for t in self.transitions}
         for p in names:
             for t in self.transitions:
                 if (p, t) not in self.flow:
                     raise ValueError(f"flow is partial: missing ({p}, {t})")
+                self._steps[t].append(net_type.step(self.flow[(p, t)]))
 
     def initial_marking(self) -> Marking:
         return tuple(m0 for _, m0 in self.places)
@@ -89,11 +92,12 @@ def fire(net: PetriNet, marking: Marking, transition: str) -> Optional[Marking]:
 
     Raises ValueError for a transition the net does not have.
     """
-    if transition not in net.transitions:
+    steps = net._steps.get(transition)
+    if steps is None:
         raise ValueError(f"unknown transition: {transition}")
     after = []
-    for (p, _), tokens in zip(net.places, marking):
-        nxt = delta_tau(net.net_type, tokens, net.flow[(p, transition)])
+    for step, tokens in zip(steps, marking):
+        nxt = step[tokens]
         if nxt is None:
             return None
         after.append(nxt)

@@ -16,11 +16,13 @@ groups everywhere (each state has a unique group successor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Optional
 
 FAMILIES = ("pt", "ppt", "zpt", "zppt", "rzpt")
 Z_FAMILIES = ("zpt", "zppt", "rzpt")
+MAX_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -66,37 +68,44 @@ def absval(e: TauEvent) -> int:
 class NetType:
     family: str
     bound: int
-    events: tuple[TauEvent, ...]
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_event_set", frozenset(self.events))
+    @cached_property
+    def events(self) -> tuple[TauEvent, ...]:
+        """Canonical order: pairs lexicographically by (m,n), then groups by k."""
+        pairs = [Pair(m, n) for m in range(self.bound + 1) for n in range(self.bound + 1)]
+        groups = [Group(k) for k in range(self.bound + 1)]
+        return tuple(e for e in pairs + groups if self.is_event(e))
+
+    @cached_property
+    def neutral(self) -> TauEvent:
+        """The do-nothing event: g:0 in the Z families, 0,0 otherwise."""
+        return Group(0) if self.family in Z_FAMILIES else Pair(0, 0)
 
     def is_event(self, e: TauEvent) -> bool:
-        return e in self._event_set
+        return legal(self.family, self.bound, e)
+
+    def step(self, e: TauEvent) -> tuple[Optional[int], ...]:
+        """delta_tau(self, v, e) for v in 0..b, tabled on first use."""
+        table = self._steps.get(e)
+        if table is None:
+            table = self._steps[e] = tuple(delta_tau(self, v, e) for v in range(self.bound + 1))
+        return table
 
     def __str__(self) -> str:
         return f"{self.family}^{self.bound}"
 
 
+@cache
 def make_type(family: str, bound: int) -> NetType:
-    """Net type of a family at bound b >= 1, events in canonical order.
-
-    Canonical order: pairs lexicographically by (m,n), then groups by k.
-    """
+    """The net type of a family at bound 1 <= b <= MAX_BOUND."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family}")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    pairs: list[TauEvent] = []
-    for m in range(bound + 1):
-        for n in range(bound + 1):
-            e = Pair(m, n)
-            if legal(family, bound, e):
-                pairs.append(e)
-    groups: list[TauEvent] = []
-    if family in Z_FAMILIES:
-        groups = [Group(k) for k in range(bound + 1)]
-    return NetType(family, bound, tuple(pairs + groups))
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be <= {MAX_BOUND}, got {bound}")
+    return NetType(family, bound)
 
 
 def legal(family: str, bound: int, e: TauEvent) -> bool:

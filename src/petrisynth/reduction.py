@@ -24,7 +24,6 @@ from .regions import (
     Region,
     RegionCheck,
     WitnessSet,
-    _may_disable,
     solves,
     support_from_signature,
     validate_region,
@@ -193,8 +192,7 @@ def build_union(phi: Cm1in3Formula, variant: str, bound: int) -> GadgetUnion:
     """Gadget union of a formula for one reduction variant at bound b."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    make_type(VARIANT_FAMILY[variant], bound)  # 1 <= bound <= MAX_BOUND
     if variant == "z-essp" and bound < 2:
         raise ValueError("z-essp reduction needs bound >= 2")
     b = bound
@@ -369,18 +367,15 @@ def _propagate(
     tau: NetType,
     inits: dict[str, int],
     overrides: dict[str, TauEvent],
-    default: Optional[TauEvent] = None,
 ) -> Region:
     """Union region from per-member initial supports and a signature.
 
-    Events outside overrides get the default (the do-nothing pair).  Raises
+    Events outside overrides get tau's do-nothing event.  Raises
     when a member's support cannot be propagated; templates are never
     silently repaired.  Propagation walks every member arc, so a returned
     region satisfies the region condition on the whole union.
     """
-    if default is None:
-        default = Pair(0, 0)
-    sig = {e: overrides.get(e, default) for e in union.events}
+    sig = {e: overrides.get(e, tau.neutral) for e in union.events}
     sup: dict[str, int] = {}
     for member in union.members:
         part = support_from_signature(
@@ -443,8 +438,7 @@ def alpha_witness_region(
     union = build_union(phi, variant, bound)
     tau = make_type(VARIANT_FAMILY[variant], bound)
     inits, overrides = _alpha_template(union, model)
-    default = Group(0) if variant == "z-essp" else Pair(0, 0)
-    union_region = _propagate(union, tau, inits, overrides, default)
+    union_region = _propagate(union, tau, inits, overrides)
     if not solves(union_region, tau, union.alpha):
         raise ValueError(f"alpha template does not solve {union.alpha}")
     joined = joining(union) if variant == "z-essp" else linear_joining(union)
@@ -649,7 +643,7 @@ def ppt_essp_witness(
     ts = union.ts
     regions = _ppt_library(union, tau, model)
     for event in union.events:
-        candidates = [r for r in regions if _may_disable(tau, r.sig[event])]
+        candidates = [r for r in regions if None in tau.step(r.sig[event])]
         atoms = [SeparationAtom.essa(event, s) for s in ts.states if not ts.has_arc(s, event)]
         atoms = [atom for atom in atoms if not any(solves(r, tau, atom) for r in candidates)]
         while atoms:

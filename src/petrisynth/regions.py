@@ -122,15 +122,9 @@ class CoverageView(Mapping):
         found = self._partial[event]
         if found is None:
             found = self._partial[event] = [
-                i for i, r in enumerate(self._regions) if _may_disable(self._tau, r.sig[event])
+                i for i, r in enumerate(self._regions) if None in self._tau.step(r.sig[event])
             ]
         return found
-
-
-def _may_disable(tau: NetType, event: TauEvent) -> bool:
-    """Whether the tau event is undefined at some support: a region solves
-    an essa atom (e, s) only if its signature of e is such an event."""
-    return any(delta_tau(tau, v, event) is None for v in range(tau.bound + 1))
 
 
 @dataclass
@@ -186,7 +180,7 @@ def support_from_signature(
     while queue:
         state = queue.pop()
         for event, dst in ts.out_edges(state):
-            nxt = delta_tau(tau, sup[state], sig[event])
+            nxt = tau.step(sig[event])[sup[state]]
             if nxt is None:
                 return None
             if dst in sup:
@@ -203,7 +197,7 @@ def support_from_signature(
 def solves(region: Region, tau: NetType, atom: SeparationAtom) -> bool:
     if atom.kind == "ssa":
         return region.sup[atom.left] != region.sup[atom.right]
-    return delta_tau(tau, region.sup[atom.right], region.sig[atom.left]) is None
+    return tau.step(region.sig[atom.left])[region.sup[atom.right]] is None
 
 
 def build_witness(

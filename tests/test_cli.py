@@ -240,3 +240,12 @@ def test_missing_file_exit(tmp_path, capsys):
 def test_bad_bound_exit(a2_file, capsys):
     assert main(["check", "--family", "zppt", "--b", "0", "--problem", "ssp", str(a2_file)]) == 2
     assert "bound must be >= 1" in capsys.readouterr().err
+
+
+def test_bound_past_the_cap_exits_2(a2_file, tmp_path, example_formula, capsys):
+    assert main(["check", "--family", "zpt", "--b", "1001", "--problem", "ssp", str(a2_file)]) == 2
+    assert capsys.readouterr().err == "error: bound must be <= 1000, got 1001\n"
+    source = tmp_path / "phi.cnf3"
+    source.write_text(serialize_formula(example_formula))
+    assert main(["reduce", "--variant", "ssp", "--b", "1001", str(source)]) == 2
+    assert capsys.readouterr().err == "error: bound must be <= 1000, got 1001\n"

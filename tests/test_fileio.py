@@ -205,3 +205,36 @@ def test_net_round_trip_property(data, family, bound):
     }
     net = PetriNet("n", tau, places, transitions, flow)
     assert parse_net(serialize_net(net)) == net
+
+
+def test_parse_net_rejects_a_bound_past_the_cap():
+    with pytest.raises(ParseError, match="line 1: bound must be <= 1000, got 1001"):
+        parse_net(".net n\n.family pt\n.bound 1001\n.place p 0\n.transition t\n.flow p t 0,1\n")
+    with pytest.raises(ParseError, match="got 99999999999"):
+        parse_net(".net n\n.family zpt\n.bound 99999999999\n.place p 0\n.transition t\n")
+
+
+VOCABULARY = (
+    ".ts", ".state", ".event", ".initial", ".arc", ".net", ".family", ".bound",
+    ".place", ".transition", ".flow", ".cnf3", ".clause", "pt", "ppt", "zpt",
+    "zppt", "rzpt", "s0", "s1", "a", "p", "t", "0", "1", "2", "3", "-1", "1001",
+    "99999999999", "9" * 40, "0,0", "1,0", "0,1", "2,2", "g:0", "g:1", "g:7",
+    "1,", ",", "g:", "x", "#",
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(VOCABULARY) | st.text(max_size=4), min_size=1, max_size=5),
+        max_size=12,
+    )
+)
+def test_token_soup_raises_only_parse_error(soup):
+    text = "\n".join(" ".join(line) for line in soup)
+    for header, parse in ((".ts x", parse_ts), (".net x", parse_net), (".cnf3 2", parse_formula)):
+        for document in (text, f"{header}\n{text}"):
+            try:
+                parse(document)
+            except ParseError:
+                pass

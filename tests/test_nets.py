@@ -10,7 +10,7 @@ from petrisynth.nets import (
     marking_name,
     reachability_graph,
 )
-from petrisynth.nettypes import Group, Pair, make_type
+from petrisynth.nettypes import Group, Pair, delta_tau, make_type
 from petrisynth.ts import deterministic_isomorphism, validate
 
 PPT1 = make_type("ppt", 1)
@@ -186,3 +186,27 @@ def test_reachability_graph_is_valid_and_deterministic(net):
         split = src.split(".") if bound > 9 else list(src)
         marking = tuple(int(v) for v in split)
         assert marking_name(fire(net, marking, event), bound) == dst
+
+
+def test_firing_leaves_the_event_list_unbuilt():
+    tau = make_type("pt", 1000)
+    net = PetriNet("count", tau, [("p", 0)], ["up", "down"], {("p", "up"): Pair(0, 1), ("p", "down"): Pair(1, 0)})
+    graph = reachability_graph(net)
+    assert len(graph.states) == 1001 and len(graph.arcs()) == 2000
+    assert "events" not in vars(tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["pt", "ppt", "zpt", "zppt", "rzpt"]), bound=st.integers(1, 3))
+def test_fire_applies_delta_tau_place_wise(data, family, bound):
+    tau = make_type(family, bound)
+    places = [(f"p{i}", 0) for i in range(data.draw(st.integers(1, 3)))]
+    transitions = ["t0", "t1"]
+    flow = {(p, t): data.draw(st.sampled_from(tau.events)) for p, _ in places for t in transitions}
+    net = PetriNet("rand", tau, places, transitions, flow)
+    marking = tuple(data.draw(st.integers(0, bound)) for _ in places)
+    for t in transitions:
+        after = [delta_tau(tau, v, flow[(p, t)]) for (p, _), v in zip(places, marking)]
+        assert fire(net, marking, t) == (None if None in after else tuple(after))
+    with pytest.raises(ValueError, match="unknown transition: t2"):
+        fire(net, marking, "t2")

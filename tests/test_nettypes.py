@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from petrisynth.nettypes import (
     FAMILIES,
+    MAX_BOUND,
     Group,
     Pair,
     absval,
@@ -111,3 +112,33 @@ def test_every_declared_event_fires_somewhere(family, bound):
         assert any(
             delta_tau(tau, s, event) is not None for s in range(bound + 1)
         )
+
+
+@given(st.sampled_from(FAMILIES), st.sampled_from([1, 2, 3, 5]))
+def test_step_tables_match_delta_tau(family, bound):
+    tau = make_type(family, bound)
+    for event in tau.events:
+        assert tau.step(event) == tuple(delta_tau(tau, v, event) for v in range(bound + 1))
+    foreign = Group(0) if family in ("pt", "ppt") else Pair(0, 0)
+    for event in (foreign, Pair(bound + 1, 0), Group(bound + 1)):
+        with pytest.raises(ValueError, match="foreign event"):
+            tau.step(event)
+
+
+def test_one_type_per_family_and_bound():
+    for family in FAMILIES:
+        assert make_type(family, 2) is make_type(family, 2)
+        assert make_type(family, 2) is not make_type(family, 3)
+
+
+def test_bound_is_capped():
+    assert make_type("pt", MAX_BOUND).bound == MAX_BOUND
+    with pytest.raises(ValueError, match=f"bound must be <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
+        make_type("zpt", MAX_BOUND + 1)
+
+
+def test_neutral_event_does_nothing():
+    for family in FAMILIES:
+        tau = make_type(family, 3)
+        assert tau.neutral == (Group(0) if family in ("zpt", "zppt", "rzpt") else Pair(0, 0))
+        assert tau.step(tau.neutral) == (0, 1, 2, 3)
