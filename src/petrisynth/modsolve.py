@@ -95,8 +95,9 @@ def solve(system: ModSystem) -> Optional[tuple[int, ...]]:
 def reduce_rows(modulus: int, rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], ...]:
     """Basis rows spanning the same Z_modulus row module as the input.
 
-    Useful for preprocessing a shared homogeneous block once and reusing it
-    across many one-extra-row systems.  Entries may lie outside 0..modulus-1.
+    The basis is in Howell form: for every k, the basis rows that are zero
+    in the first k columns span every combination of the input rows that
+    is.  Entries of the input may lie outside 0..modulus-1.
     """
     basis = _howell(modulus, [[v % modulus for v in r] for r in rows], cols)
     return tuple(tuple(basis[j]) for j in sorted(basis))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Any, Iterable, Optional
 
 from . import modsolve
 from .nets import DEFAULT_CAP, PetriNet, reachability_graph
@@ -32,6 +32,7 @@ from .regions import (
 from .ts import SeparationAtom, TransitionSystem, deterministic_isomorphism
 
 Z_DECIDABLE_SSP = ("zpt", "zppt", "rzpt")
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -61,7 +62,7 @@ class SpanningData:
 
     @cached_property
     def reduced_cycles(self) -> tuple[tuple[int, ...], ...]:
-        """The base system's rows in reduced form, shared by every ssa probe."""
+        """The base system's rows in reduced form, shared by every ssa atom."""
         return modsolve.reduce_rows(self.bound + 1, self.cycles, len(self.ts.events))
 
 
@@ -143,6 +144,42 @@ def _difference(u: tuple[int, ...], v: tuple[int, ...], modulus: int) -> tuple[i
     return tuple((a - b_) % modulus for a, b_ in zip(u, v))
 
 
+def _checked_spanning(ts: TransitionSystem, bound: int, sd: Optional[SpanningData]) -> SpanningData:
+    if sd is None:
+        return build_spanning(ts, bound)
+    if sd.ts is not ts or sd.bound != bound:
+        raise ValueError("spanning data belongs to another TS or bound")
+    return sd
+
+
+def _first_solvable(
+    modulus: int, cols: int, rows: Rows, tails: Rows, probes: Iterable[tuple[Any, tuple[int, ...]]]
+) -> Optional[tuple[Any, tuple[int, ...]]]:
+    """The first (key, x) of probes (key, r) with rows.x = tails.r solvable.
+
+    One reduction of [A | E] = [rows | tails] serves every probe: by
+    Howell's span property the E-parts c of its basis rows with a zero
+    A-part span {yE : yA = 0}, and Z_modulus is self-injective, so
+    A x = E r is solvable iff c.r = 0 for every such c.  Only the first
+    probe that passes is solved, by modsolve.solve.
+    """
+    width = cols + max(map(len, tails), default=0)
+    basis = modsolve.reduce_rows(modulus, [a + e for a, e in zip(rows, tails)], width)
+    kept = [row[cols:] for row in basis if not any(row[:cols])]
+    for key, r in probes:
+        if all(_dot(c, r) % modulus == 0 for c in kept):
+            rhs = tuple(_dot(e, r) for e in tails)
+            x = modsolve.solve(modsolve.ModSystem(modulus, cols, rows, rhs))
+            if x is None:
+                raise AssertionError("the kept-row test and modsolve.solve disagree")
+            return key, x
+    return None
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(a * b_ for a, b_ in zip(u, v))
+
+
 def base_system(sd: SpanningData) -> modsolve.ModSystem:
     """Homogeneous system cutting out the abstract regions of the TS.
 
@@ -179,26 +216,23 @@ def decide_ssa(
     """Group-only region separating two states, or None.
 
     Solves base system + (psi(s') - psi(s)).abs = q for q = 1..b; the first
-    solvable q yields the region with sup_init = 0.
+    solvable q yields the region with sup_init = 0.  One reduction of
+    [reduced cycles | 0; psi(s') - psi(s) | 1] tests every q, and only the
+    first q that passes is solved.
     """
     if tau.family not in Z_DECIDABLE_SSP:
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
     if atom.kind != "ssa":
         raise ValueError(f"not an ssa atom: {atom}")
-    sd = sd or build_spanning(ts, tau.bound)
-    base_rows = sd.reduced_cycles
-    diff = _difference(sd.psi[atom.right], sd.psi[atom.left], tau.bound + 1)
-    for q in range(1, tau.bound + 1):
-        system = modsolve.ModSystem(
-            tau.bound + 1,
-            len(ts.events),
-            base_rows + (diff,),
-            (0,) * len(base_rows) + (q,),
-        )
-        x = modsolve.solve(system)
-        if x is not None:
-            return _derived_region(sd, tau, atom, 0, {e: Group(v) for e, v in zip(ts.events, x)})
-    return None
+    sd = _checked_spanning(ts, tau.bound, sd)
+    modulus = tau.bound + 1
+    rows = sd.reduced_cycles + (_difference(sd.psi[atom.right], sd.psi[atom.left], modulus),)
+    tails = ((0,),) * len(sd.reduced_cycles) + ((1,),)
+    probes = ((q, (q,)) for q in range(1, modulus))
+    found = _first_solvable(modulus, len(ts.events), rows, tails, probes)
+    if found is None:
+        return None
+    return _derived_region(sd, tau, atom, 0, {e: Group(v) for e, v in zip(ts.events, found[1])})
 
 
 def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
@@ -247,14 +281,14 @@ def _sources(ts: TransitionSystem, event: str) -> list[str]:
     return sources
 
 
-def _essa_layout(
-    sd: SpanningData, atom: SeparationAtom
-) -> Callable[[int, int, int, int], modsolve.ModSystem]:
-    """The rzpt essa systems of atom = (e, s), by probe (m, n, sup_init, q).
+def _essa_layout(sd: SpanningData, atom: SeparationAtom) -> tuple[Rows, Rows]:
+    """The rows A and right-hand-side columns E of the rzpt essa systems
+    of atom = (e, s): probe (m, n, sup_init, q) solves A x = E r with
+    r = (n-m, m-sup_init, q).
 
-    The rows are laid out once per atom, from a shared block reduced once
-    per event; only the right-hand side depends on the probe.  See
-    essa_system for the row order.
+    A is laid out once per atom, from a shared block reduced once per
+    event, whose E-rows are zero; the pin, source and separation rows get
+    the unit vectors.  See essa_system for the row order.
     """
     if atom.kind != "essa":
         raise ValueError(f"not an essa atom: {atom}")
@@ -270,13 +304,7 @@ def _essa_layout(
         sd.psi[first],
         _difference(sd.psi[first], sd.psi[state], modulus),
     )
-    zeros = (0,) * len(shared_rows)
-
-    def system(m: int, n: int, sup_init: int, q: int) -> modsolve.ModSystem:
-        rhs = zeros + ((n - m) % modulus, (m - sup_init) % modulus, q % modulus)
-        return modsolve.ModSystem(modulus, len(sd.ts.events), rows, rhs)
-
-    return system
+    return rows, ((0, 0, 0),) * len(shared_rows) + ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def essa_system(
@@ -298,8 +326,9 @@ def essa_system(
     the separation row (psi(s1) - psi(s)).abs = q.  decide_essa_rzpt solves
     exactly these systems.
     """
-    sd = sd or build_spanning(ts, bound)
-    return _essa_layout(sd, atom)(m, n, sup_init, q)
+    rows, tails = _essa_layout(_checked_spanning(ts, bound, sd), atom)
+    r = (n - m, m - sup_init, q)
+    return modsolve.ModSystem(bound + 1, len(ts.events), rows, tuple(_dot(e, r) for e in tails))
 
 
 def decide_essa_rzpt(
@@ -315,21 +344,26 @@ def decide_essa_rzpt(
     the event gets the pair signature, every other event its solved group
     value.  A probe only sets the right-hand side (n-m, m-sup_init, q) mod
     b+1, so the pairs (0,1)..(0,b), (1,1) alone meet each distinct system
-    once, where that order first meets it: b(b+1)^2 solves, not
-    b(b+1)^3 - b(b+1), for an unsolvable atom.
+    once, where that order first meets it: b(b+1)^2 probes, not
+    b(b+1)^3 - b(b+1), for an unsolvable atom.  The atom costs one
+    reduction, which turns every probe into dot products, and at most one
+    solve, of the first probe that passes.
     """
-    sd = sd or build_spanning(ts, bound)
-    system = _essa_layout(sd, atom)
+    sd = _checked_spanning(ts, bound, sd)
     tau = make_type("rzpt", bound)
     # (1,0) and (1,n>=2) repeat (0, n-1 mod b+1) at sup_init-1, and every
     # pair with m >= 2 repeats one with m = 1
     pairs = [(0, n) for n in range(1, bound + 1)] + [(1, 1)]
-    for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1)):
-        x = modsolve.solve(system(m, n, sup_init, q))
-        if x is not None:
-            sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
-            return _derived_region(sd, tau, atom, sup_init, sig)
-    return None
+    probes = (
+        ((m, n, sup_init), (n - m, m - sup_init, q))
+        for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1))
+    )
+    found = _first_solvable(bound + 1, len(ts.events), *_essa_layout(sd, atom), probes)
+    if found is None:
+        return None
+    (m, n, sup_init), x = found
+    sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
+    return _derived_region(sd, tau, atom, sup_init, sig)
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:

@@ -93,6 +93,15 @@ def test_derived_region_self_check(demo8, monkeypatch):
         decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1"))
 
 
+def test_solver_disagreement_is_an_error(demo8, monkeypatch):
+    # a probe that passes the kept-row test must be solvable
+    monkeypatch.setattr(modsolve, "solve", lambda system: None)
+    with pytest.raises(AssertionError, match="the kept-row test and modsolve.solve disagree"):
+        decide_ssa(demo8, make_type("zppt", 2), SeparationAtom.ssa("0", "1"))
+    with pytest.raises(AssertionError, match="the kept-row test and modsolve.solve disagree"):
+        decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1"))
+
+
 def test_decide_essa_rzpt_demo8(demo8):
     region = decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1"))
     assert region.sig == {
@@ -140,19 +149,94 @@ def test_essa_probes_match_full_product(seed, bound):
         assert decide_essa_rzpt(ts, bound, atom, sd=sd) == essa_reference(ts, bound, atom), atom
 
 
-def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
-    # b(b+1)^2 distinct right-hand sides at b=2; the full product is 48
+def count_calls(monkeypatch, name):
+    """Patch modsolve.<name> to record each call's system or block width."""
     calls = []
-    original = modsolve.solve
+    original = getattr(modsolve, name)
 
-    def counting(system):
-        calls.append(system.rhs[-3:])
-        return original(system)
+    def counting(*args):
+        calls.append(args[0].rhs if name == "solve" else args[2])
+        return original(*args)
 
-    monkeypatch.setattr(modsolve, "solve", counting)
+    monkeypatch.setattr(modsolve, name, counting)
+    return calls
+
+
+def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
+    # all b(b+1)^2 probes are dot products with the kept rows of one
+    # reduction of the atom's [A | E] block, beside the event's shared
+    # block (4 columns, then 4 + 3); none passes, so nothing is solved
+    solved = count_calls(monkeypatch, "solve")
+    reduced = count_calls(monkeypatch, "reduce_rows")
     assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("a", "5")) is None
-    assert len(calls) == 18
-    assert len(set(calls)) == 18
+    assert solved == []
+    assert reduced == [4, 7]
+
+
+def test_decided_atoms_solve_at_most_once(demo8, a2, monkeypatch):
+    solved = count_calls(monkeypatch, "solve")
+    assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1")) is not None
+    assert len(solved) == 1
+    solved.clear()
+    # a 3-cycle of one event cannot tell its states apart mod 2
+    assert decide_ssa(a2, make_type("zppt", 1), SeparationAtom.ssa("s0", "s1")) is None
+    assert solved == []
+
+
+def test_deciders_reject_foreign_spanning_data(demo8, a2):
+    # spanning data of another TS, or of the same TS at another bound,
+    # would give rows that describe neither; the deciders refuse it
+    for sd in (build_spanning(a2, 2), build_spanning(demo8, 1)):
+        with pytest.raises(ValueError, match="spanning data belongs to another TS or bound"):
+            decide_ssa(demo8, make_type("zppt", 2), SeparationAtom.ssa("0", "1"), sd=sd)
+        with pytest.raises(ValueError, match="spanning data belongs to another TS or bound"):
+            decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1"), sd=sd)
+        with pytest.raises(ValueError, match="spanning data belongs to another TS or bound"):
+            essa_system(demo8, 2, SeparationAtom.essa("c", "1"), 0, 1, 0, 1, sd=sd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 10**9),
+    k=st.integers(0, 6),
+    n=st.integers(1, 5),
+    width=st.sampled_from([1, 3]),
+)
+def test_kept_rows_decide_solvability(modulus, seed, k, n, width):
+    # A x = E r is solvable iff r is orthogonal to every kept row of the
+    # reduced [A | E]: the probe passes exactly when modsolve.solve finds a
+    # solution, and the solution handed back is that one and checks out
+    rng = random.Random(seed)
+    a = tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k))
+    e = tuple(tuple(rng.randrange(modulus) for _ in range(width)) for _ in range(k))
+    for _ in range(6):
+        r = tuple(rng.randrange(modulus) for _ in range(width))
+        system = modsolve.ModSystem(modulus, n, a, tuple(sum(c * v for c, v in zip(t, r)) for t in e))
+        x = modsolve.solve(system)
+        found = polysynth._first_solvable(modulus, n, a, e, [("r", r)])
+        assert found == (None if x is None else ("r", x)), r
+        if x is not None:
+            assert modsolve.verify(system, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    bound=st.sampled_from([1, 2, 3, 5]),
+    family=st.sampled_from(polysynth.Z_DECIDABLE_SSP),
+)
+def test_spanning_order_does_not_change_atom_decisions(seed, bound, family):
+    # a dfs tree gives other psi vectors, so other [A | E] blocks to reduce
+    ts = random_ts(random.Random(seed), max_states=7, max_events=3)
+    tau = make_type(family, bound)
+    bfs, dfs = build_spanning(ts, bound), build_spanning(ts, bound, order="dfs")
+    for atom in ssa_atoms(ts):
+        got = [decide_ssa(ts, tau, atom, sd=sd) is None for sd in (bfs, dfs)]
+        assert got[0] == got[1], atom
+    for atom in essa_atoms(ts):
+        got = [decide_essa_rzpt(ts, bound, atom, sd=sd) is None for sd in (bfs, dfs)]
+        assert got[0] == got[1], atom
 
 
 def test_decide_ssa_family_guard(a2):
