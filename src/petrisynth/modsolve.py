@@ -4,16 +4,17 @@ Solving over a residue ring needs more than Gaussian elimination: a pivot
 like 2 mod 4 is a zero divisor, and naively zeroing it out loses solutions.
 The row reduction here keeps the basis closed under annihilator rows
 ((m/gcd(pivot,m)) times the row), which is what makes back-substitution
-with free variables fixed to 0 complete: if the reduced system has no pivot
-in the right-hand-side column, the straightforward bottom-up substitution
-always succeeds.
+with free variables fixed to 0 complete: if no reduced row reads 0 = c
+with c != 0, the straightforward bottom-up substitution always succeeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+Rows = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -56,43 +57,60 @@ def make_system(
 
 def verify(system: ModSystem, x: Sequence[int]) -> bool:
     """Whether x satisfies every equation of the system."""
-    if len(x) != system.cols:
-        return False
     m = system.modulus
-    for row, want in zip(system.rows, system.rhs):
-        acc = sum(c * v for c, v in zip(row, x)) % m
-        if acc != want:
-            return False
-    return True
+    return len(x) == system.cols and all(
+        _dot(row, x) % m == want for row, want in zip(system.rows, system.rhs)
+    )
 
 
 def solve(system: ModSystem) -> Optional[tuple[int, ...]]:
     """One solution with free variables fixed to 0, or None.
 
-    Deterministic: rows are folded into the basis top-down and the reduced
-    basis is unique up to the fixed reduction order.
+    The one-probe case of first_solvable: the rhs is E's single column
+    and the probe is (1,).
     """
-    m = system.modulus
-    n = system.cols
-    basis = _howell(m, [row + (b,) for row, b in zip(system.rows, system.rhs)], n + 1)
-    if n in basis:
-        # a pivot in the rhs column is an equation 0 = c with c != 0
-        return None
-    x = [0] * n
-    for j in sorted(basis, reverse=True):
-        row = basis[j]
-        acc = (row[n] - sum(row[l] * x[l] for l in range(j + 1, n))) % m
-        g = row[j]
-        d = gcd(g, m)
-        if acc % d:
-            raise AssertionError("back-substitution hit an unsolvable pivot")
-        mm = m // d
-        if mm > 1:
-            x[j] = (acc // d) * pow((g // d) % mm, -1, mm) % mm
-    return tuple(x)
+    rhs = tuple((b,) for b in system.rhs)
+    found = first_solvable(system.modulus, system.cols, system.rows, rhs, ((None, (1,)),))
+    return None if found is None else found[1]
 
 
-def reduce_rows(modulus: int, rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[int, ...], ...]:
+def first_solvable(
+    modulus: int, cols: int, rows: Rows, tails: Rows, probes: Iterable[tuple[Any, Sequence[int]]]
+) -> Optional[tuple[Any, tuple[int, ...]]]:
+    """The first (key, x) of probes (key, r) with rows.x = tails.r solvable.
+
+    One reduction of [A | E] = [rows | tails] serves every probe.  By
+    Howell's span property the E-parts c of its basis rows with a zero
+    A-part span {yE : yA = 0}, and Z_modulus is self-injective, so
+    A x = E r is solvable iff c.r = 0 for every such c.  x, free variables
+    fixed to 0, is back-substituted over the same basis's rows with a pivot
+    in the A-part, each with right-hand side (its E-part).r: their row
+    operations depend only on A, so a reduction of [A | E r] reaches them.
+    """
+    width = cols + max(map(len, tails), default=0)
+    basis = reduce_rows(modulus, [[*a, *e] for a, e in zip(rows, tails)], width)
+    kept = [row[cols:] for row in basis if not any(row[:cols])]
+    pivots = [(_leading(row, cols), row) for row in reversed(basis) if any(row[:cols])]
+    for key, r in probes:
+        if any(_dot(c, r) % modulus for c in kept):
+            continue
+        x = [0] * cols
+        for j, row in pivots:
+            acc = (_dot(row[cols:], r) - _dot(row[j + 1 : cols], x[j + 1 :])) % modulus
+            d = gcd(row[j], modulus)
+            if acc % d:
+                raise AssertionError("back-substitution hit an unsolvable pivot")
+            mm = modulus // d
+            x[j] = acc // d * pow(row[j] // d, -1, mm) % mm
+        return key, tuple(x)
+    return None
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def reduce_rows(modulus: int, rows: Rows, cols: int) -> tuple[tuple[int, ...], ...]:
     """Basis rows spanning the same Z_modulus row module as the input.
 
     The basis is in Howell form: for every k, the basis rows that are zero

@@ -90,11 +90,18 @@ class PetriNet:
 def fire(net: PetriNet, marking: Marking, transition: str) -> Optional[Marking]:
     """Marking after firing the transition, or None when disabled.
 
-    Raises ValueError for a transition the net does not have.
+    Raises ValueError for a transition the net does not have, and for a
+    marking that is not one token count in 0..b per place.
     """
     steps = net._steps.get(transition)
     if steps is None:
         raise ValueError(f"unknown transition: {transition}")
+    if len(marking) != len(net.places) or not all(0 <= v <= net.net_type.bound for v in marking):
+        raise ValueError(f"not a marking of {net.name}: {marking}")
+    return _fire(steps, marking)
+
+
+def _fire(steps: list, marking: Marking) -> Optional[Marking]:
     after = []
     for step, tokens in zip(steps, marking):
         nxt = step[tokens]
@@ -131,7 +138,7 @@ def reachability_graph(net: PetriNet, cap: int = DEFAULT_CAP) -> TransitionSyste
         marking = order[head]
         head += 1
         for t in net.transitions:
-            after = fire(net, marking, t)
+            after = _fire(net._steps[t], marking)
             if after is None:
                 continue
             fired.add(t)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 from . import modsolve
 from .nets import DEFAULT_CAP, PetriNet, reachability_graph
@@ -152,34 +152,6 @@ def _checked_spanning(ts: TransitionSystem, bound: int, sd: Optional[SpanningDat
     return sd
 
 
-def _first_solvable(
-    modulus: int, cols: int, rows: Rows, tails: Rows, probes: Iterable[tuple[Any, tuple[int, ...]]]
-) -> Optional[tuple[Any, tuple[int, ...]]]:
-    """The first (key, x) of probes (key, r) with rows.x = tails.r solvable.
-
-    One reduction of [A | E] = [rows | tails] serves every probe: by
-    Howell's span property the E-parts c of its basis rows with a zero
-    A-part span {yE : yA = 0}, and Z_modulus is self-injective, so
-    A x = E r is solvable iff c.r = 0 for every such c.  Only the first
-    probe that passes is solved, by modsolve.solve.
-    """
-    width = cols + max(map(len, tails), default=0)
-    basis = modsolve.reduce_rows(modulus, [a + e for a, e in zip(rows, tails)], width)
-    kept = [row[cols:] for row in basis if not any(row[:cols])]
-    for key, r in probes:
-        if all(_dot(c, r) % modulus == 0 for c in kept):
-            rhs = tuple(_dot(e, r) for e in tails)
-            x = modsolve.solve(modsolve.ModSystem(modulus, cols, rows, rhs))
-            if x is None:
-                raise AssertionError("the kept-row test and modsolve.solve disagree")
-            return key, x
-    return None
-
-
-def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a * b_ for a, b_ in zip(u, v))
-
-
 def base_system(sd: SpanningData) -> modsolve.ModSystem:
     """Homogeneous system cutting out the abstract regions of the TS.
 
@@ -217,8 +189,8 @@ def decide_ssa(
 
     Solves base system + (psi(s') - psi(s)).abs = q for q = 1..b; the first
     solvable q yields the region with sup_init = 0.  One reduction of
-    [reduced cycles | 0; psi(s') - psi(s) | 1] tests every q, and only the
-    first q that passes is solved.
+    [reduced cycles | 0; psi(s') - psi(s) | 1] (modsolve.first_solvable)
+    tests every q and gives the first passing q's solution.
     """
     if tau.family not in Z_DECIDABLE_SSP:
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
@@ -229,7 +201,7 @@ def decide_ssa(
     rows = sd.reduced_cycles + (_difference(sd.psi[atom.right], sd.psi[atom.left], modulus),)
     tails = ((0,),) * len(sd.reduced_cycles) + ((1,),)
     probes = ((q, (q,)) for q in range(1, modulus))
-    found = _first_solvable(modulus, len(ts.events), rows, tails, probes)
+    found = modsolve.first_solvable(modulus, len(ts.events), rows, tails, probes)
     if found is None:
         return None
     return _derived_region(sd, tau, atom, 0, {e: Group(v) for e, v in zip(ts.events, found[1])})
@@ -328,7 +300,8 @@ def essa_system(
     """
     rows, tails = _essa_layout(_checked_spanning(ts, bound, sd), atom)
     r = (n - m, m - sup_init, q)
-    return modsolve.ModSystem(bound + 1, len(ts.events), rows, tuple(_dot(e, r) for e in tails))
+    rhs = tuple(sum(c * v for c, v in zip(e, r)) for e in tails)
+    return modsolve.ModSystem(bound + 1, len(ts.events), rows, rhs)
 
 
 def decide_essa_rzpt(
@@ -346,8 +319,8 @@ def decide_essa_rzpt(
     b+1, so the pairs (0,1)..(0,b), (1,1) alone meet each distinct system
     once, where that order first meets it: b(b+1)^2 probes, not
     b(b+1)^3 - b(b+1), for an unsolvable atom.  The atom costs one
-    reduction, which turns every probe into dot products, and at most one
-    solve, of the first probe that passes.
+    reduction (modsolve.first_solvable), which turns every probe into dot
+    products and gives the first passing probe's solution.
     """
     sd = _checked_spanning(ts, bound, sd)
     tau = make_type("rzpt", bound)
@@ -358,7 +331,7 @@ def decide_essa_rzpt(
         ((m, n, sup_init), (n - m, m - sup_init, q))
         for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1))
     )
-    found = _first_solvable(bound + 1, len(ts.events), *_essa_layout(sd, atom), probes)
+    found = modsolve.first_solvable(bound + 1, len(ts.events), *_essa_layout(sd, atom), probes)
     if found is None:
         return None
     (m, n, sup_init), x = found

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petrisynth.modsolve import ModSystem, make_system, reduce_rows, solve, verify
+from petrisynth.modsolve import ModSystem, first_solvable, make_system, reduce_rows, solve, verify
 
 
 def brute_solve(system):
@@ -13,6 +13,19 @@ def brute_solve(system):
         if verify(system, x):
             return x
     return None
+
+
+def check_probes(modulus, rows, tails, rng, cols):
+    """first_solvable against brute force on each of a few random probes
+    r: a probe passes iff brute force solves rows.x = tails.r, and the x
+    handed back satisfies that system."""
+    for _ in range(4):
+        r = tuple(rng.randrange(modulus) for _ in range(len(tails[0])))
+        system = make_system(modulus, rows, [sum(c * v for c, v in zip(t, r)) for t in tails], cols)
+        found = first_solvable(modulus, cols, rows, tails, [("r", r)])
+        assert (found is None) == (brute_solve(system) is None), (rows, tails, r)
+        if found is not None:
+            assert found[0] == "r" and verify(system, found[1]), (rows, tails, r)
 
 
 def test_make_system_validation():
@@ -66,7 +79,9 @@ def test_solution_values_frozen():
 
 
 def test_exhaustive_single_row_m4():
-    # every 1x2 system over Z_4: agreement with brute force
+    # every 1x2 system over Z_4: agreement with brute force, and the same
+    # row under a 3-column E with random probes
+    rng = random.Random(4)
     for a, b, r in itertools.product(range(4), repeat=3):
         system = make_system(4, [[a, b]], [r])
         got = solve(system)
@@ -74,6 +89,7 @@ def test_exhaustive_single_row_m4():
         assert (got is None) == (want is None), (a, b, r)
         if got is not None:
             assert verify(system, got), (a, b, r)
+        check_probes(4, ((a, b),), ((r, rng.randrange(4), rng.randrange(4)),), rng, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,6 +109,8 @@ def test_random_agreement_with_brute_force(modulus, seed, n, k):
     assert (got is None) == (want is None)
     if got is not None:
         assert verify(system, got)
+    tails = tuple(tuple(rng.randrange(modulus) for _ in range(3)) for _ in range(k))
+    check_probes(modulus, tuple(map(tuple, rows)), tails, rng, n)
 
 
 def test_reduce_rows_drops_redundancy():
@@ -113,3 +131,28 @@ def test_solve_honors_rhs_only_in_reduced_space():
     # x + y = 1, x + y = 3 (mod 4) is contradictory
     system = make_system(4, [[1, 1], [1, 1]], [1, 3])
     assert solve(system) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 10**9),
+    k=st.integers(0, 6),
+    n=st.integers(1, 5),
+    width=st.sampled_from([1, 3]),
+)
+def test_kept_rows_decide_solvability(modulus, seed, k, n, width):
+    # A x = E r is solvable iff r is orthogonal to every kept row of the
+    # reduced [A | E]: the probe passes exactly when solve finds a solution
+    # of A x = E r, and the solution handed back is that one and checks out
+    rng = random.Random(seed)
+    a = tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k))
+    e = tuple(tuple(rng.randrange(modulus) for _ in range(width)) for _ in range(k))
+    for _ in range(6):
+        r = tuple(rng.randrange(modulus) for _ in range(width))
+        system = ModSystem(modulus, n, a, tuple(sum(c * v for c, v in zip(t, r)) for t in e))
+        x = solve(system)
+        found = first_solvable(modulus, n, a, e, [("r", r)])
+        assert found == (None if x is None else ("r", x)), r
+        if x is not None:
+            assert verify(system, x)

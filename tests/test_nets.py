@@ -92,6 +92,16 @@ def test_fire_rzpt_pair_only_at_exact_state():
     assert fire(net, (0,), "t") is None
 
 
+def test_fire_rejects_foreign_markings():
+    # a negative count would wrap to the top of the step table, a count
+    # above b would index past it, and zip would drop or ignore places
+    net = PetriNet("one", make_type("pt", 2), [("p", 1)], ["t"], {("p", "t"): Pair(1, 0)})
+    assert fire(net, (1,), "t") == (0,)
+    for marking in ((-1,), (3,), (1, 5), ()):
+        with pytest.raises(ValueError, match="not a marking of one"):
+            fire(net, marking, "t")
+
+
 def test_fire_group_semantics():
     net = cycle_net()
     assert fire(net, (0,), "a") == (1,)
