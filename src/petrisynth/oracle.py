@@ -3,13 +3,15 @@
 A region is determined by its initial support and its signature, so the
 candidate space is (b+1) * |tau events|^|events|.  The oracle walks it in
 lexicographic order and decides separation problems by greedy witness
-assembly.  Budgets keep runaway inputs from hanging: exceeding one raises,
-it never silently degrades into a wrong answer.
+assembly.  The walk assigns signatures one event at a time and skips every
+signature prefix that already fails on an arc, so only regions are built;
+the order and the candidate counts are those of the full product.  Budgets
+keep runaway inputs from hanging: exceeding one raises, it never silently
+degrades into a wrong answer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -55,18 +57,94 @@ def _candidates(
     number of candidates consumed so far.
 
     Signature tuples follow the net type's canonical event order, one slot
-    per TS event in declared order.  Raises BudgetExceeded before consuming
-    a candidate past the budget.
+    per TS event in declared order.  The walk assigns the events depth
+    first in that order and propagates supports along the arcs of the
+    events assigned so far; a signature prefix that already fails on an
+    arc (an undefined step, or two walks that disagree) is skipped with
+    every completion, and all of them are counted as consumed.  So the
+    regions, their order and the counts are those of the full product.
+    Raises BudgetExceeded before consuming a candidate past the budget.
     """
+    limit = budget.max_candidates
+    n, k = len(ts.events), len(tau.events)
+    position = {e: i for i, e in enumerate(ts.events)}
+    # arcs as (src, event position, dst), listed per event and per source
+    by_event: list[list[tuple[str, int, str]]] = [[] for _ in range(n)]
+    out: dict[str, list[tuple[str, int, str]]] = {}
+    for src in ts.states:
+        for event, dst in ts.out_edges(src):
+            i = position[event]
+            arc = (src, i, dst)
+            by_event[i].append(arc)
+            out.setdefault(src, []).append(arc)
+    tables = [tau.step(ev) for ev in tau.events]
     checked = 0
+
+    def consume(count: int) -> None:
+        nonlocal checked
+        if checked <= limit < checked + count:
+            raise BudgetExceeded(limit)
+        checked += count
+
     for sup_init in range(tau.bound + 1):
-        for combo in itertools.product(tau.events, repeat=len(ts.events)):
-            if checked == budget.max_candidates:
-                raise BudgetExceeded(checked)
-            checked += 1
-            region = support_from_signature(ts, tau, sup_init, dict(zip(ts.events, combo)))
-            if region is not None:
+        sup = {ts.initial: sup_init}
+        fixed: list[str] = []  # states fixed by the assigned events, in order
+        marks = [0] * (n + 1)  # len(fixed) on entering each depth
+        choice = [-1] * n  # index into tau.events per assigned event
+        depth = 0
+        while depth >= 0:
+            if depth == n:
+                consume(1)
+                sig = {e: tau.events[c] for e, c in zip(ts.events, choice)}
+                region = support_from_signature(ts, tau, sup_init, sig)
+                assert region is not None, "a signature that survives the walk is a region"
                 yield checked, region
+                depth -= 1
+                continue
+            for state in fixed[marks[depth]:]:
+                del sup[state]
+            del fixed[marks[depth]:]
+            choice[depth] += 1
+            if choice[depth] == k:
+                choice[depth] = -1
+                depth -= 1
+            elif _propagate(sup, fixed, by_event[depth], out, tables, choice, depth):
+                depth += 1
+                marks[depth] = len(fixed)
+            else:
+                consume(k ** (n - depth - 1))
+
+
+def _propagate(
+    sup: dict[str, int],
+    fixed: list[str],
+    arcs: list[tuple[str, int, str]],
+    out: dict[str, list[tuple[str, int, str]]],
+    tables: list[tuple[Optional[int], ...]],
+    choice: list[int],
+    depth: int,
+) -> bool:
+    """Walk the arcs of the event just assigned (at depth) from the states
+    already fixed, then the arcs of events 0..depth out of every state this
+    fixes.  Newly fixed states go to sup and fixed.  False on an undefined
+    step or a disagreement."""
+    work = list(arcs)
+    while work:
+        src, i, dst = work.pop()
+        tokens = sup.get(src)
+        if tokens is None or i > depth:
+            continue
+        nxt = tables[choice[i]][tokens]
+        if nxt is None:
+            return False
+        known = sup.get(dst)
+        if known is None:
+            sup[dst] = nxt
+            fixed.append(dst)
+            work.extend(out.get(dst, ()))
+        elif known != nxt:
+            return False
+    return True
 
 
 def enumerate_regions(

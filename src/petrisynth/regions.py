@@ -195,9 +195,14 @@ def support_from_signature(
 
 
 def solves(region: Region, tau: NetType, atom: SeparationAtom) -> bool:
+    """Whether the region solves the atom.  Raises ValueError for an essa
+    atom whose state's support lies outside 0..b."""
     if atom.kind == "ssa":
         return region.sup[atom.left] != region.sup[atom.right]
-    return tau.step(region.sig[atom.left])[region.sup[atom.right]] is None
+    tokens = region.sup[atom.right]
+    if not 0 <= tokens <= tau.bound:
+        raise ValueError(f"support out of range at {atom.right}: {tokens}")
+    return tau.step(region.sig[atom.left])[tokens] is None
 
 
 def build_witness(

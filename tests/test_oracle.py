@@ -1,9 +1,16 @@
-import pytest
+import itertools
+import random
+from unittest import mock
 
-from petrisynth.nettypes import make_type
+import pytest
+from conftest import random_ts
+from hypothesis import given, settings, strategies as st
+
+from petrisynth import oracle
+from petrisynth.nettypes import FAMILIES, make_type
 from petrisynth.oracle import BudgetExceeded, OracleBudget, enumerate_regions, oracle_decide
-from petrisynth.regions import build_witness, check_witness, validate_region
-from petrisynth.ts import SeparationAtom
+from petrisynth.regions import build_witness, check_witness, support_from_signature, validate_region
+from petrisynth.ts import PROBLEMS, SeparationAtom, TransitionSystem
 
 PPT1 = make_type("ppt", 1)
 PT1 = make_type("pt", 1)
@@ -81,3 +88,85 @@ def test_oracle_coverage_is_first_fit(a1, a2):
                 first_fit, missing = build_witness(ts, tau, report.witness.regions, problem)
                 assert missing == []
                 assert list(report.witness.coverage.items()) == list(first_fit.coverage.items())
+
+
+def _product_candidates(ts, tau, budget):
+    # the reference the pruned walk replaces: every signature of the full
+    # product, each propagated on its own
+    checked = 0
+    for sup_init in range(tau.bound + 1):
+        for combo in itertools.product(tau.events, repeat=len(ts.events)):
+            if checked == budget.max_candidates:
+                raise BudgetExceeded(checked)
+            checked += 1
+            region = support_from_signature(ts, tau, sup_init, dict(zip(ts.events, combo)))
+            if region is not None:
+                yield checked, region
+
+
+def _stream(candidates):
+    return [(checked, list(r.sup.items()), r.sig) for checked, r in candidates]
+
+
+def _outcome(ts, tau, problem, budget):
+    try:
+        report = oracle_decide(ts, tau, problem, budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.checked, exc.remaining, str(exc)
+    regions = None if report.witness is None else [(list(r.sup.items()), r.sig) for r in report.witness.regions]
+    return report.answer, report.failing, report.checked, regions
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    family=st.sampled_from(FAMILIES),
+    bound=st.integers(min_value=1, max_value=2),
+)
+def test_walk_matches_product_loop(seed, family, bound):
+    ts = random_ts(random.Random(seed), max_states=6, max_events=4)
+    tau = make_type(family, bound)
+    walked = _stream(oracle._candidates(ts, tau, OracleBudget()))
+    assert walked == _stream(_product_candidates(ts, tau, OracleBudget()))
+    for problem in PROBLEMS:
+        for max_candidates in (1, 2, 7, 10**7):
+            budget = OracleBudget(max_candidates)
+            got = _outcome(ts, tau, problem, budget)
+            with mock.patch.object(oracle, "_candidates", _product_candidates):
+                assert got == _outcome(ts, tau, problem, budget)
+
+
+def test_walk_builds_only_regions(monkeypatch):
+    # a 3-cycle on a keeps every pt support constant, so ssp is a "no"
+    # over the full space of 3 * 9^4 candidates; self-loops add events
+    ts = TransitionSystem(
+        "cycle",
+        ["s0", "s1", "s2"],
+        ["a", "b", "c", "d"],
+        [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s0"), ("s0", "b", "s0"), ("s1", "c", "s1"), ("s2", "d", "s2")],
+        "s0",
+    )
+    pt2 = make_type("pt", 2)
+    regions = len(list(enumerate_regions(ts, pt2)))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return support_from_signature(*args)
+
+    monkeypatch.setattr(oracle, "support_from_signature", counted)
+    report = oracle_decide(ts, pt2, "ssp")
+    assert not report.answer
+    assert report.checked == 3 * 9**4
+    assert len(calls) == regions
+
+
+def test_walk_runs_into_the_budget_on_long_chains():
+    # the walk keeps its own stack: 2000 events deep is no recursion
+    n = 2000
+    states = [f"s{i}" for i in range(n + 1)]
+    events = [f"e{i}" for i in range(n)]
+    chain = TransitionSystem("chain", states, events, [(states[i], events[i], states[i + 1]) for i in range(n)], "s0")
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_regions(chain, PT1, budget=OracleBudget(5)))
+    assert info.value.checked == 5

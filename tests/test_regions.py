@@ -77,6 +77,19 @@ def test_solves(a1):
     assert not solves(r1, PPT1, SeparationAtom.essa("b", "s1"))
 
 
+def test_solves_rejects_support_out_of_range():
+    # t = 1,0 at b=2: a support of -1 would read the step table's last
+    # entry and 3 would run past it; both are rejected, as fire does
+    pt2 = make_type("pt", 2)
+    atom = SeparationAtom.essa("t", "s")
+    for tokens in (-1, 3):
+        region = Region({"s": tokens}, {"t": Pair(1, 0)})
+        with pytest.raises(ValueError, match=f"support out of range at s: {tokens}"):
+            solves(region, pt2, atom)
+    assert solves(Region({"s": 0}, {"t": Pair(1, 0)}), pt2, atom)
+    assert not solves(Region({"s": 2}, {"t": Pair(1, 0)}), pt2, atom)
+
+
 def test_build_witness_diamond(a1):
     r1, r2 = diamond_regions(a1)
     witness, missing = build_witness(a1, PPT1, [r1, r2], "solvability")
