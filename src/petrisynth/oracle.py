@@ -67,16 +67,13 @@ def _candidates(
     """
     limit = budget.max_candidates
     n, k = len(ts.events), len(tau.events)
-    position = {e: i for i, e in enumerate(ts.events)}
-    # arcs as (src, event position, dst), listed per event and per source
-    by_event: list[list[tuple[str, int, str]]] = [[] for _ in range(n)]
-    out: dict[str, list[tuple[str, int, str]]] = {}
-    for src in ts.states:
-        for event, dst in ts.out_edges(src):
-            i = position[event]
-            arc = (src, i, dst)
-            by_event[i].append(arc)
-            out.setdefault(src, []).append(arc)
+    index = ts.index
+    # arcs as (src, event, dst) positions, listed per event and per source
+    out = [[(src, i, dst) for i, dst in arcs] for src, arcs in enumerate(index.out)]
+    by_event: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for arcs in out:
+        for arc in arcs:
+            by_event[arc[1]].append(arc)
     tables = [tau.step(ev) for ev in tau.events]
     checked = 0
 
@@ -87,8 +84,9 @@ def _candidates(
         checked += count
 
     for sup_init in range(tau.bound + 1):
-        sup = {ts.initial: sup_init}
-        fixed: list[str] = []  # states fixed by the assigned events, in order
+        sup: list[Optional[int]] = [None] * len(out)
+        sup[index.initial] = sup_init
+        fixed: list[int] = []  # states fixed by the assigned events, in order
         marks = [0] * (n + 1)  # len(fixed) on entering each depth
         choice = [-1] * n  # index into tau.events per assigned event
         depth = 0
@@ -102,7 +100,7 @@ def _candidates(
                 depth -= 1
                 continue
             for state in fixed[marks[depth]:]:
-                del sup[state]
+                sup[state] = None
             del fixed[marks[depth]:]
             choice[depth] += 1
             if choice[depth] == k:
@@ -116,10 +114,10 @@ def _candidates(
 
 
 def _propagate(
-    sup: dict[str, int],
-    fixed: list[str],
-    arcs: list[tuple[str, int, str]],
-    out: dict[str, list[tuple[str, int, str]]],
+    sup: list[Optional[int]],
+    fixed: list[int],
+    arcs: list[tuple[int, int, int]],
+    out: list[list[tuple[int, int, int]]],
     tables: list[tuple[Optional[int], ...]],
     choice: list[int],
     depth: int,
@@ -131,17 +129,17 @@ def _propagate(
     work = list(arcs)
     while work:
         src, i, dst = work.pop()
-        tokens = sup.get(src)
+        tokens = sup[src]
         if tokens is None or i > depth:
             continue
         nxt = tables[choice[i]][tokens]
         if nxt is None:
             return False
-        known = sup.get(dst)
+        known = sup[dst]
         if known is None:
             sup[dst] = nxt
             fixed.append(dst)
-            work.extend(out.get(dst, ()))
+            work.extend(out[dst])
         elif known != nxt:
             return False
     return True

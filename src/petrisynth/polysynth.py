@@ -14,6 +14,7 @@ all sources of its event to one support value -- again linear.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -25,8 +26,8 @@ from .regions import (
     CoverageView,
     Region,
     WitnessSet,
+    propagate_support,
     solves,
-    support_from_signature,
     synthesized_net,
 )
 from .ts import SeparationAtom, TransitionSystem, deterministic_isomorphism
@@ -98,23 +99,25 @@ def build_spanning(ts: TransitionSystem, bound: int, order: str = "bfs") -> Span
     if order not in ("bfs", "dfs"):
         raise ValueError(f"unknown traversal order: {order}")
     modulus = bound + 1
-    index = {e: i for i, e in enumerate(ts.events)}
-    zero = (0,) * len(ts.events)
+    out = ts.index.out
+    states, events = ts.states, ts.events
     parent: dict[str, tuple[str, str, str]] = {}
-    psi = {ts.initial: zero}
-    frontier = [ts.initial]
+    psi = {ts.initial: (0,) * len(events)}
+    frontier = deque([ts.index.initial])
     tree: set[tuple[str, str, str]] = set()
     while frontier:
-        state = frontier.pop(0 if order == "bfs" else -1)
-        for event, dst in ts.out_edges(state):
-            if dst in psi:
+        state = frontier.popleft() if order == "bfs" else frontier.pop()
+        src = states[state]
+        for event, dst in out[state]:
+            name = states[dst]
+            if name in psi:
                 continue
-            arc = (state, event, dst)
-            parent[dst] = arc
+            arc = (src, events[event], name)
+            parent[name] = arc
             tree.add(arc)
-            vec = list(psi[state])
-            vec[index[event]] = (vec[index[event]] + 1) % modulus
-            psi[dst] = tuple(vec)
+            vec = list(psi[src])
+            vec[event] = (vec[event] + 1) % modulus
+            psi[name] = tuple(vec)
             frontier.append(dst)
     if len(psi) != len(ts.states):
         raise ValueError("TS has unreachable states")
@@ -132,7 +135,7 @@ def fundamental_cycle(sd: SpanningData, chord: tuple[str, str, str]) -> tuple[in
     if sd.ts.delta(src, event) != dst or sd.parent.get(dst) == (src, event, dst):
         raise ValueError(f"not a chord: {chord}")
     modulus = sd.bound + 1
-    unit = sd.ts.events.index(event)
+    unit = sd.ts.index.event[event]
     vec = [
         (a - b_) % modulus for a, b_ in zip(sd.psi[src], sd.psi[dst])
     ]
@@ -164,16 +167,31 @@ def base_system(sd: SpanningData) -> modsolve.ModSystem:
 
 
 def _derived_region(
-    sd: SpanningData, tau: NetType, atom: SeparationAtom, sup_init: int, sig: dict[str, TauEvent]
+    sd: SpanningData,
+    tau: NetType,
+    atom: SeparationAtom,
+    sup_init: int,
+    x: tuple[int, ...],
+    pair: Optional[Pair] = None,
 ) -> Region:
     """The region fixed by sup_init and a solved signature, self-checked.
 
-    Propagating the signature along the arcs both derives the support and
-    checks the region condition on every arc.
+    Every event gets the group of its solved value in x, except the atom's
+    event when a pair is given.  Propagating the signature's step tables
+    along the arcs both derives the support and checks the region
+    condition on every arc.
     """
-    region = support_from_signature(sd.ts, tau, sup_init, sig)
-    if region is None:
+    groups = [Group(k) for k in range(tau.bound + 1)]
+    tables = [tau.step(g) for g in groups]
+    sig: dict[str, TauEvent] = dict(zip(sd.ts.events, [groups[v] for v in x]))
+    steps = [tables[v] for v in x]
+    if pair is not None:
+        sig[atom.left] = pair
+        steps[sd.ts.index.event[atom.left]] = tau.step(pair)
+    sup = propagate_support(sd.ts, sup_init, steps)
+    if sup is None:
         raise AssertionError("derived region fails validation")
+    region = Region(sup, sig)
     if not solves(region, tau, atom):
         raise AssertionError(f"derived region misses its atom: {atom}")
     return region
@@ -204,7 +222,7 @@ def decide_ssa(
     found = modsolve.first_solvable(modulus, len(ts.events), rows, tails, probes)
     if found is None:
         return None
-    return _derived_region(sd, tau, atom, 0, {e: Group(v) for e, v in zip(ts.events, found[1])})
+    return _derived_region(sd, tau, atom, 0, found[1])
 
 
 def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
@@ -335,8 +353,7 @@ def decide_essa_rzpt(
     if found is None:
         return None
     (m, n, sup_init), x = found
-    sig = {e: Pair(m, n) if e == atom.left else Group(v) for e, v in zip(ts.events, x)}
-    return _derived_region(sd, tau, atom, sup_init, sig)
+    return _derived_region(sd, tau, atom, sup_init, x, Pair(m, n))
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:

@@ -73,7 +73,7 @@ class CoverageView(Mapping):
         self._tau = tau
         self._regions = tuple(regions)
         self._problem = problem
-        self._position = {s: i for i, s in enumerate(ts.states)}
+        self._position = ts.index.state
         # per event, the regions whose signature of it can be undefined:
         # only those can solve its essa atoms; filled on first lookup
         self._partial: dict[str, Optional[list[int]]] = dict.fromkeys(ts.events)
@@ -175,23 +175,44 @@ def support_from_signature(
         raise ValueError("signature map does not match the event set")
     if not 0 <= sup_init <= tau.bound:
         raise ValueError(f"initial support out of range: {sup_init}")
-    sup = {ts.initial: sup_init}
-    queue = [ts.initial]
-    while queue:
-        state = queue.pop()
-        for event, dst in ts.out_edges(state):
-            nxt = tau.step(sig[event])[sup[state]]
+    sup = propagate_support(ts, sup_init, [tau.step(sig[e]) for e in ts.events])
+    return None if sup is None else Region(sup, dict(sig))
+
+
+def propagate_support(
+    ts: TransitionSystem, sup_init: int, steps: Sequence[tuple[Optional[int], ...]]
+) -> Optional[dict[str, int]]:
+    """The support fixed by sup_init and one step table per TS event
+    position, or None on an undefined step or two walks that disagree.
+
+    Walks the arcs of ts.index depth first from the initial state; the
+    support lists the states in the order the walk first reaches them.
+    Raises ValueError if a state is unreachable.
+    """
+    index = ts.index
+    out = index.out
+    sup: list[Optional[int]] = [None] * len(out)
+    sup[index.initial] = sup_init
+    order = [index.initial]
+    stack = [index.initial]
+    while stack:
+        state = stack.pop()
+        tokens = sup[state]
+        for event, dst in out[state]:
+            nxt = steps[event][tokens]
             if nxt is None:
                 return None
-            if dst in sup:
-                if sup[dst] != nxt:
-                    return None
-            else:
+            known = sup[dst]
+            if known is None:
                 sup[dst] = nxt
-                queue.append(dst)
-    if len(sup) != len(ts.states):
+                order.append(dst)
+                stack.append(dst)
+            elif known != nxt:
+                return None
+    if len(order) != len(out):
         raise ValueError("TS has unreachable states")
-    return Region(sup, dict(sig))
+    states = ts.states
+    return {states[p]: sup[p] for p in order}
 
 
 def solves(region: Region, tau: NetType, atom: SeparationAtom) -> bool:

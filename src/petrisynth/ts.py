@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_.+-]+\Z")
@@ -41,6 +42,18 @@ class SeparationAtom:
         return f"{self.kind}({self.left},{self.right})"
 
 
+@dataclass(frozen=True)
+class TSIndex:
+    """A TS in positions: state and event maps to their declared positions,
+    the initial state's position, and per state position its out-arcs as
+    (event position, target position) in insertion order."""
+
+    state: dict[str, int]
+    event: dict[str, int]
+    initial: int
+    out: tuple[tuple[tuple[int, int], ...], ...]
+
+
 class TransitionSystem:
     """Finite deterministic TS with ordered states and events.
 
@@ -62,14 +75,11 @@ class TransitionSystem:
         self.events = tuple(events)
         self.initial = initial
         self._delta: dict[tuple[str, str], str] = {}
-        self._out: dict[str, list[tuple[str, str]]] = {s: [] for s in self.states}
         for src, event, dst in arcs:
             key = (src, event)
             if key in self._delta:
                 raise ValueError(f"nondeterministic arc: {src} {event}")
             self._delta[key] = dst
-            if src in self._out:
-                self._out[src].append((event, dst))
 
     def delta(self, state: str, event: str) -> Optional[str]:
         """Successor of state under event, or None if undefined."""
@@ -79,12 +89,38 @@ class TransitionSystem:
         return (state, event) in self._delta
 
     def out_edges(self, state: str) -> list[tuple[str, str]]:
-        """Outgoing (event, target) pairs of state, in insertion order."""
-        return list(self._out.get(state, ()))
+        """Outgoing (event, target) pairs of state, in insertion order; none
+        for a name that is not a state.  Reads the index, so raises its
+        ValueError on a malformed TS."""
+        index = self.index
+        position = index.state.get(state)
+        if position is None:
+            return []
+        return [(self.events[e], self.states[dst]) for e, dst in index.out[position]]
 
     def arcs(self) -> tuple[tuple[str, str, str], ...]:
         """All arcs (src, event, dst) in insertion order."""
         return tuple((s, e, t) for (s, e), t in self._delta.items())
+
+    @cached_property
+    def index(self) -> TSIndex:
+        """The TS in positions, built on first use.
+
+        Raises ValueError naming the first duplicate state or event, an
+        unknown initial state, or an arc on an undeclared event or state.
+        """
+        state = _positions("state", self.states)
+        event = _positions("event", self.events)
+        if self.initial not in state:
+            raise ValueError(f"unknown initial state: {self.initial}")
+        out: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for (src, e), dst in self._delta.items():
+            if e not in event:
+                raise ValueError(f"arc event not declared: {src} {e} {dst}")
+            if src not in state or dst not in state:
+                raise ValueError(f"arc endpoint not a state: {src} {e} {dst}")
+            out[state[src]].append((event[e], state[dst]))
+        return TSIndex(state, event, state[self.initial], tuple(map(tuple, out)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransitionSystem):
@@ -102,6 +138,15 @@ class TransitionSystem:
             f"TransitionSystem({self.name!r}, {len(self.states)} states, "
             f"{len(self.events)} events, {len(self._delta)} arcs)"
         )
+
+
+def _positions(label: str, names: tuple[str, ...]) -> dict[str, int]:
+    position: dict[str, int] = {}
+    for name in names:
+        if name in position:
+            raise ValueError(f"duplicate {label}: {name}")
+        position[name] = len(position)
+    return position
 
 
 @dataclass
@@ -146,16 +191,17 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     if violations:
         return ValidationReport(False, violations)
 
-    reached = {ts.initial}
-    frontier = [ts.initial]
+    index = ts.index
+    reached = [False] * len(ts.states)
+    reached[index.initial] = True
+    frontier = [index.initial]
     while frontier:
-        state = frontier.pop()
-        for _, dst in ts.out_edges(state):
-            if dst not in reached:
-                reached.add(dst)
+        for _, dst in index.out[frontier.pop()]:
+            if not reached[dst]:
+                reached[dst] = True
                 frontier.append(dst)
-    for s in ts.states:
-        if s not in reached:
+    for s, seen in zip(ts.states, reached):
+        if not seen:
             violations.append(f"unreachable: {s}")
     used = {event for (_, event) in ts._delta}
     for e in ts.events:
@@ -172,7 +218,7 @@ def grade(ts: TransitionSystem) -> int:
     for (src, event), dst in ts._delta.items():
         incoming[dst].add(event)
     for s in ts.states:
-        out = len(ts._out.get(s, ()))
+        out = len(ts.out_edges(s))
         best = max(best, out, len(incoming[s]))
     return best
 

@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from petrisynth.nets import reachability_graph
-from petrisynth.nettypes import Group, Pair, make_type
+from petrisynth.nettypes import FAMILIES, Z_FAMILIES, Group, Pair, make_type
+from petrisynth.polysynth import build_spanning, decide_essa_rzpt, decide_ssa
 from petrisynth.regions import (
     Region,
     build_witness,
@@ -11,7 +15,15 @@ from petrisynth.regions import (
     synthesized_net,
     validate_region,
 )
-from petrisynth.ts import SeparationAtom, deterministic_isomorphism
+from petrisynth.ts import (
+    SeparationAtom,
+    TransitionSystem,
+    deterministic_isomorphism,
+    essa_atoms,
+    ssa_atoms,
+)
+
+from conftest import random_ts
 
 PPT1 = make_type("ppt", 1)
 ZPPT2 = make_type("zppt", 2)
@@ -45,6 +57,98 @@ def test_support_from_signature_validation(a1):
         support_from_signature(a1, PPT1, 1, {"a": Pair(0, 0)})
     with pytest.raises(ValueError, match="initial support out of range: 2"):
         support_from_signature(a1, PPT1, 2, {"a": Pair(0, 0), "b": Pair(0, 0)})
+
+
+def test_support_from_signature_rejects_arcs_off_the_states():
+    # an arc into an undeclared state used to hand back a region whose
+    # support held the stray target and lacked the declared state b
+    ts = TransitionSystem("x", ["a", "b"], ["e"], [("a", "e", "zz")], "a")
+    with pytest.raises(ValueError, match="arc endpoint not a state: a e zz"):
+        support_from_signature(ts, PPT1, 0, {"e": Pair(0, 1)})
+
+
+def test_support_from_signature_rejects_undeclared_events():
+    ts = TransitionSystem("x", ["a", "b"], ["e"], [("a", "e", "b"), ("b", "f", "a")], "a")
+    with pytest.raises(ValueError, match="arc event not declared: b f a"):
+        support_from_signature(ts, PPT1, 0, {"e": Pair(0, 1)})
+
+
+def test_support_from_signature_rejects_unknown_initial_state():
+    ts = TransitionSystem("x", ["a", "b"], ["e"], [("a", "e", "b")], "z")
+    with pytest.raises(ValueError, match="unknown initial state: z"):
+        support_from_signature(ts, PPT1, 0, {"e": Pair(0, 1)})
+
+
+def support_reference(ts, tau, sup_init, sig):
+    """The walk support_from_signature ran before the TS index: adjacency
+    and supports keyed by state name, one step-table lookup per arc."""
+    out = {}
+    for src, event, dst in ts.arcs():
+        out.setdefault(src, []).append((event, dst))
+    sup = {ts.initial: sup_init}
+    queue = [ts.initial]
+    while queue:
+        state = queue.pop()
+        for event, dst in out.get(state, ()):
+            nxt = tau.step(sig[event])[sup[state]]
+            if nxt is None:
+                return None
+            if dst in sup:
+                if sup[dst] != nxt:
+                    return None
+            else:
+                sup[dst] = nxt
+                queue.append(dst)
+    if len(sup) != len(ts.states):
+        raise ValueError("TS has unreachable states")
+    return Region(sup, dict(sig))
+
+
+def same_region(got, want):
+    """Equal regions, with sup and sig keys in the same order."""
+    if got is None or want is None:
+        return got is want
+    return list(got.sup.items()) == list(want.sup.items()) and list(got.sig.items()) == list(want.sig.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    family=st.sampled_from(FAMILIES),
+    bound=st.sampled_from([1, 2, 3]),
+)
+def test_walk_matches_the_dict_walk(seed, family, bound):
+    # random signatures, half of their events the do-nothing event so
+    # that many of them are regions
+    rng = random.Random(seed)
+    ts = random_ts(rng, max_states=7, max_events=4)
+    tau = make_type(family, bound)
+    for _ in range(20):
+        sig = {e: rng.choice(tau.events) if rng.random() < 0.5 else tau.neutral for e in ts.events}
+        sup_init = rng.randrange(bound + 1)
+        want = support_reference(ts, tau, sup_init, sig)
+        assert same_region(support_from_signature(ts, tau, sup_init, sig), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    family=st.sampled_from(Z_FAMILIES),
+    bound=st.sampled_from([1, 2, 3]),
+)
+def test_derived_regions_match_support_from_signature(seed, family, bound):
+    # the deciders hand the walk their own step tables; each region they
+    # return is the one support_from_signature derives from its signature
+    ts = random_ts(random.Random(seed), max_states=6, max_events=3)
+    tau = make_type(family, bound)
+    sd = build_spanning(ts, bound)
+    found = [decide_ssa(ts, tau, atom, sd=sd) for atom in ssa_atoms(ts)]
+    if family == "rzpt":
+        found += [decide_essa_rzpt(ts, bound, atom, sd=sd) for atom in essa_atoms(ts)]
+    for region in filter(None, found):
+        assert list(region.sig) == list(ts.events)
+        again = support_from_signature(ts, tau, region.sup[ts.initial], region.sig)
+        assert same_region(region, again)
 
 
 def test_validate_region_errors(a1):

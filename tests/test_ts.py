@@ -28,6 +28,28 @@ def test_construction_and_lookup(a1):
     assert a1.arcs()[0] == ("s0", "a", "s1")
 
 
+def test_index_positions(a1):
+    index = a1.index
+    assert index.state == {"s0": 0, "s1": 1, "s2": 2, "s3": 3}
+    assert index.event == {"a": 0, "b": 1}
+    assert index.initial == 0
+    assert index.out == (((0, 1), (1, 2)), ((1, 3),), ((0, 3),), ())
+    assert a1.index is index
+
+
+def test_index_rejects_malformed_ts():
+    cases = [
+        (["s0", "s0"], ["a"], [("s0", "a", "s0")], "s0", "duplicate state: s0"),
+        (["s0"], ["a", "a"], [("s0", "a", "s0")], "s0", "duplicate event: a"),
+        (["s0"], ["a"], [("s0", "a", "s0")], "s9", "unknown initial state: s9"),
+        (["s0"], ["a"], [("s0", "b", "s0")], "s0", "arc event not declared: s0 b s0"),
+        (["s0"], ["a"], [("s9", "a", "s0")], "s0", "arc endpoint not a state: s9 a s0"),
+    ]
+    for states, events, arcs, initial, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TransitionSystem("bad", states, events, arcs, initial).index
+
+
 def test_nondeterminism_rejected():
     with pytest.raises(ValueError, match="nondeterministic arc: s0 a"):
         TransitionSystem(
