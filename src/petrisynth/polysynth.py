@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import modsolve
 from .nets import DEFAULT_CAP, PetriNet, reachability_graph
@@ -30,7 +30,7 @@ from .regions import (
     solves,
     synthesized_net,
 )
-from .ts import SeparationAtom, TransitionSystem, deterministic_isomorphism
+from .ts import PROBLEMS, SeparationAtom, TransitionSystem, deterministic_isomorphism
 
 Z_DECIDABLE_SSP = ("zpt", "zppt", "rzpt")
 Rows = tuple[tuple[int, ...], ...]
@@ -166,6 +166,13 @@ def base_system(sd: SpanningData) -> modsolve.ModSystem:
     return modsolve.ModSystem(sd.bound + 1, len(sd.ts.events), rows, (0,) * len(rows))
 
 
+def _check_atom(ts: TransitionSystem, atom: SeparationAtom) -> None:
+    index, left, right = ts.index, atom.left, atom.right
+    known = left in (index.state if atom.kind == "ssa" else index.event) and right in index.state
+    if not known or (ts.has_arc(right, left) if atom.kind == "essa" else left == right):
+        raise ValueError(f"not an atom of {ts.name}: {atom}")
+
+
 def _derived_region(
     sd: SpanningData,
     tau: NetType,
@@ -214,6 +221,7 @@ def decide_ssa(
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
     if atom.kind != "ssa":
         raise ValueError(f"not an ssa atom: {atom}")
+    _check_atom(ts, atom)
     sd = _checked_spanning(ts, tau.bound, sd)
     modulus = tau.bound + 1
     rows = sd.reduced_cycles + (_difference(sd.psi[atom.right], sd.psi[atom.left], modulus),)
@@ -226,32 +234,67 @@ def decide_ssa(
 
 
 def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
-    """State separation over zpt/zppt/rzpt, with greedy region reuse.
-
-    Visits the atoms in ssa_atoms order and searches a region only for an
-    atom no earlier region solves; short-circuits on the first unsolvable
-    one.  The states are kept in classes of equal support under the
-    regions found so far, so the next such atom is read off the classes
-    instead of probing every region for every atom.
-    """
+    """State separation over zpt/zppt/rzpt: first_fit over decide_ssa."""
     sd = build_spanning(ts, tau.bound)
-    states = ts.states
-    regions: list[Region] = []
-    classes = [list(range(len(states)))] if len(states) > 1 else []
-    while (pair := _cover(classes)) is not None:
-        atom = SeparationAtom.ssa(states[pair[0]], states[pair[1]])
-        region = decide_ssa(ts, tau, atom, sd=sd)
+    return first_fit(ts, tau, "ssp", lambda atom: decide_ssa(ts, tau, atom, sd=sd))
+
+
+def first_fit(
+    ts: TransitionSystem,
+    tau: NetType,
+    problem: str,
+    search: Callable[[SeparationAtom], Optional[Region]],
+    regions: Sequence[Region] = (),
+) -> DecisionReport:
+    """Greedy witness assembly from the given regions: calls search, in
+    iter_atoms order, only for an atom no region so far solves, and fails
+    at the first atom it returns None for.  The ssa atoms are read off
+    classes of states of equal support; each event keeps its open states,
+    filtered by the regions whose step table of it has a None."""
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem: {problem}")
+    states, regions = ts.states, list(regions)
+
+    def open_ssa() -> Iterator[SeparationAtom]:
+        classes = [list(range(len(states)))] if len(states) > 1 else []
+        seen = 0
+        while True:
+            for region in regions[seen:]:
+                parts: dict[tuple[int, int], list[int]] = {}
+                for c, members in enumerate(classes):
+                    for i in members:
+                        parts.setdefault((c, region.sup[states[i]]), []).append(i)
+                classes = [part for part in parts.values() if len(part) > 1]
+            seen = len(regions)
+            if (pair := _cover(classes)) is None:
+                return
+            yield SeparationAtom.ssa(states[pair[0]], states[pair[1]])
+
+    def open_essa(event: str) -> Iterator[SeparationAtom]:
+        open_states = [s for s in states if not ts.has_arc(s, event)]
+        seen = 0
+        while open_states:
+            for region in regions[seen:]:
+                table = tau.step(region.sig[event])
+                if None in table:
+                    open_states = [s for s in open_states if table[region.sup[s]] is not None]
+            seen = len(regions)
+            if open_states:
+                yield SeparationAtom.essa(event, open_states[0])
+
+    events = ts.events if problem != "ssp" else ()
+    walks = itertools.chain([open_ssa()] if problem != "essp" else [], map(open_essa, events))
+    last = None
+    for atom in itertools.chain.from_iterable(walks):
+        # a region that solves its atom moves the walk past it
+        if atom == last:
+            raise AssertionError(f"search left its atom open: {atom}")
+        region = search(atom)
         if region is None:
             return DecisionReport(False, None, atom)
         regions.append(region)
-        refined = []
-        for members in classes:
-            parts: dict[int, list[int]] = {}
-            for i in members:
-                parts.setdefault(region.sup[states[i]], []).append(i)
-            refined.extend(part for part in parts.values() if len(part) > 1)
-        classes = refined
-    return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, "ssp")), None)
+        last = atom
+    return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, problem)), None)
 
 
 def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
@@ -282,6 +325,7 @@ def _essa_layout(sd: SpanningData, atom: SeparationAtom) -> tuple[Rows, Rows]:
     """
     if atom.kind != "essa":
         raise ValueError(f"not an essa atom: {atom}")
+    _check_atom(sd.ts, atom)
     modulus = sd.bound + 1
     event, state = atom.left, atom.right
     if event not in sd._essa_rows:
@@ -357,29 +401,10 @@ def decide_essa_rzpt(
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
-    """Event/state separation over rzpt, greedy reuse, short-circuiting.
-
-    Visits the atoms in essa_atoms order like decide_ssp.  A region found
-    for event e carries a pair (m,n) on e and groups, which fire
-    everywhere, on the other events: it solves exactly the atoms (e, s)
-    with sup(s) != m, so each event keeps its own list of open states.
-    """
+    """Event/state separation over rzpt: first_fit over decide_essa_rzpt."""
     sd = build_spanning(ts, bound)
     tau = make_type("rzpt", bound)
-    regions: list[Region] = []
-    for event in ts.events:
-        open_states = [s for s in ts.states if not ts.has_arc(s, event)]
-        if not open_states:
-            continue
-        while open_states:
-            atom = SeparationAtom.essa(event, open_states[0])
-            region = decide_essa_rzpt(ts, bound, atom, sd=sd)
-            if region is None:
-                return DecisionReport(False, None, atom)
-            regions.append(region)
-            m = region.sig[event].m
-            open_states = [s for s in open_states if region.sup[s] == m]
-    return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, "essp")), None)
+    return first_fit(ts, tau, "essp", lambda atom: decide_essa_rzpt(ts, bound, atom, sd=sd))
 
 
 def synthesize_rzpt(
@@ -390,28 +415,24 @@ def synthesize_rzpt(
 ) -> SynthesisReport:
     """Synthesize an rzpt net whose reachability graph is isomorphic to ts.
 
-    Decides ssp and essp; on success the union of both witnesses becomes
-    the net and the isomorphism back to ts is computed and asserted.  The
-    union is the ssp regions followed by the essp regions: the ssp regions
-    are group-only, so none of them solves an essa atom, and the regions of
-    each witness are pairwise distinct.
+    Decides solvability by one first_fit over one spanning tree, with
+    decide_ssa or decide_essa_rzpt as the search by atom kind; on success
+    the witness's regions become the net and the isomorphism back to ts is
+    computed and asserted.
     """
     tau = make_type("rzpt", bound)
-    ssp = decide_ssp(ts, tau)
-    if not ssp.holds:
-        return SynthesisReport(None, ssp.failing, None, None)
-    essp = decide_essp_rzpt(ts, bound)
-    if not essp.holds:
-        return SynthesisReport(None, essp.failing, None, None)
-    assert ssp.witness is not None and essp.witness is not None
-    regions = ssp.witness.regions + essp.witness.regions
-    merged = WitnessSet(regions, CoverageView(ts, tau, regions, "solvability"))
-    net = synthesized_net(ts, tau, regions, name=name or f"{ts.name}.synth")
+    sd = build_spanning(ts, bound)
+    report = first_fit(ts, tau, "solvability", lambda atom: (
+        decide_ssa(ts, tau, atom, sd=sd) if atom.kind == "ssa" else decide_essa_rzpt(ts, bound, atom, sd=sd)
+    ))
+    if report.witness is None:
+        return SynthesisReport(None, report.failing, None, None)
+    net = synthesized_net(ts, tau, report.witness.regions, name=name or f"{ts.name}.synth")
     graph = reachability_graph(net, cap)
     iso = deterministic_isomorphism(graph, ts)
     if iso is None:
         raise AssertionError("synthesized net's reachability graph is not isomorphic")
-    return SynthesisReport(net, None, merged, dict(iso))
+    return SynthesisReport(net, None, report.witness, dict(iso))
 
 
 def concrete_to_abstract(

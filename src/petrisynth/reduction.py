@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .nettypes import Group, NetType, Pair, TauEvent, make_type
+from .polysynth import first_fit
 from .regions import (
-    CoverageView,
     Region,
     RegionCheck,
     WitnessSet,
@@ -628,27 +628,16 @@ def ppt_essp_witness(
     phi: Cm1in3Formula, model: frozenset[int], bound: int
 ) -> tuple[GadgetUnion, WitnessSet]:
     """Full event-state witness for the pure reduction union of a satisfiable
-    formula: every atom of the union is charged to a solving region.
-
-    Regions come from the hand-built library first, then from the generic
-    construction: per event, in essa_atoms order, one region for the first
-    atom no region solves so far, so the regions are pairwise distinct.
-    Each event keeps its list of open states, tested only against the
-    regions whose signature of the event can be undefined.
+    formula: polysynth.first_fit over the hand-built library, searching a
+    generic region for each atom that no region so far solves.
     """
     if not is_model(phi, model):
         raise ValueError("assignment is not a one-in-three model")
     union = build_union(phi, "ppt-essp", bound)
     tau = make_type("ppt", bound)
-    ts = union.ts
-    regions = _ppt_library(union, tau, model)
-    for event in union.events:
-        candidates = [r for r in regions if None in tau.step(r.sig[event])]
-        atoms = [SeparationAtom.essa(event, s) for s in ts.states if not ts.has_arc(s, event)]
-        atoms = [atom for atom in atoms if not any(solves(r, tau, atom) for r in candidates)]
-        while atoms:
-            case, _ = lemma6_case(union, atoms[0])
-            region = lemma6_region(union, atoms[0], case)
-            regions.append(region)
-            atoms = [atom for atom in atoms[1:] if not solves(region, tau, atom)]
-    return union, WitnessSet(regions, CoverageView(ts, tau, regions, "essp"))
+
+    def search(atom: SeparationAtom) -> Region:
+        return lemma6_region(union, atom, lemma6_case(union, atom)[0])
+
+    report = first_fit(union.ts, tau, "essp", search, _ppt_library(union, tau, model))
+    return union, report.witness

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from petrisynth import modsolve, polysynth
 from petrisynth.nets import PetriNet, reachability_graph
 from petrisynth.nettypes import Group, Pair, make_type
-from petrisynth.oracle import oracle_decide
+from petrisynth.oracle import enumerate_regions, oracle_decide
 from petrisynth.polysynth import (
     AbstractRegion,
     base_system,
@@ -18,11 +19,12 @@ from petrisynth.polysynth import (
     decide_ssa,
     decide_ssp,
     essa_system,
+    first_fit,
     fundamental_cycle,
     synthesize_rzpt,
 )
-from petrisynth.regions import build_witness, solves, support_from_signature
-from petrisynth.ts import SeparationAtom, TransitionSystem, essa_atoms, ssa_atoms
+from petrisynth.regions import Region, build_witness, solves, support_from_signature
+from petrisynth.ts import SeparationAtom, TransitionSystem, enumerate_atoms, essa_atoms, ssa_atoms
 
 from conftest import random_ts
 
@@ -327,10 +329,11 @@ def test_essp_rzpt_matches_oracle(seed, bound):
     assert fast.holds == slow.answer
 
 
-def greedy_reference(tau, atoms, search):
+def greedy_reference(tau, atoms, search, seeds=()):
     """The per-atom first-fit loop the deciders replace: probe every region
-    found so far, search a new one for an atom none of them solves."""
-    regions, coverage = [], {}
+    found so far, starting from the seeds, and search a new one for an atom
+    none of them solves."""
+    regions, coverage = list(seeds), {}
     for atom in atoms:
         for i, region in enumerate(regions):
             if solves(region, tau, atom):
@@ -404,6 +407,67 @@ def test_deciders_match_greedy_reference(seed, bound):
         assert_rejects_non_atoms(ts, synth.witness.coverage, True, True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    bound=st.integers(min_value=1, max_value=2),
+    family=st.sampled_from(["pt", "ppt", "zpt", "zppt", "rzpt"]),
+    problem=st.sampled_from(["ssp", "essp", "solvability"]),
+    k=st.integers(min_value=0, max_value=3),
+)
+def test_first_fit_matches_greedy_reference(seed, bound, family, problem, k):
+    # any search and any seed regions: first_fit's class and open-state
+    # bookkeeping must give the probing loop's witness, atom for atom
+    ts = random_ts(random.Random(seed), max_states=5, max_events=3)
+    tau = make_type(family, bound)
+    space = list(enumerate_regions(ts, tau))
+
+    def search(atom):
+        return next((r for r in space if solves(r, tau, atom)), None)
+
+    seeds = space[:k]
+    report = first_fit(ts, tau, problem, search, seeds)
+    reference = greedy_reference(tau, enumerate_atoms(ts, problem), search, seeds)
+    assert_matches_reference(ts, tau, report, reference, problem)
+
+
+def test_first_fit_rejects_a_region_that_misses_its_atom(a1):
+    # the search's region would leave its atom open, so the walk would
+    # offer the same atom forever
+    tau = make_type("pt", 1)
+    idle = Region(dict.fromkeys(a1.states, 0), dict.fromkeys(a1.events, Pair(0, 0)))
+    for problem, first in (("ssp", "ssa(s0,s1)"), ("essp", "essa(a,s1)")):
+        calls = []
+
+        def search(atom):
+            calls.append(atom)
+            if len(calls) > 1:
+                raise RuntimeError(f"searched {atom} again")
+            return idle
+
+        with pytest.raises(AssertionError, match=re.escape(f"search left its atom open: {first}")):
+            first_fit(a1, tau, problem, search)
+    with pytest.raises(ValueError, match="unknown problem: sep"):
+        first_fit(a1, tau, "sep", lambda atom: idle)
+
+
+def test_deciders_reject_non_atoms(a1):
+    # an enabled event, a state paired with itself and an unknown name are
+    # not atoms: the deciders must not answer "unsolvable" or a KeyError
+    tau = make_type("zppt", 2)
+    for atom in (SeparationAtom.ssa("s0", "s0"), SeparationAtom.ssa("s0", "s9")):
+        with pytest.raises(ValueError, match=re.escape(f"not an atom of a1: {atom}")):
+            decide_ssa(a1, tau, atom)
+    for atom in (
+        SeparationAtom.essa("a", "s0"),
+        SeparationAtom.essa("a", "s9"),
+        SeparationAtom.essa("z", "s3"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"not an atom of a1: {atom}")):
+            decide_essa_rzpt(a1, 2, atom)
+    assert decide_essa_rzpt(a1, 2, SeparationAtom.essa("a", "s1")) is not None
+
+
 def group_heavy_net():
     """Five places at b=2 whose flows are groups except one pair on t5.
     The group steps of t0..t4 form a unitriangular matrix, so they alone
@@ -455,3 +519,27 @@ def test_essp_scans_sources_once_per_event(monkeypatch):
     report = decide_essp_rzpt(ts, 2)
     assert report.holds
     assert calls == [e for e in ts.events if any(not ts.has_arc(s, e) for s in ts.states)]
+
+
+def test_synthesis_builds_one_spanning_tree(monkeypatch):
+    # ssp and essp share the tree, its cycle rows and their reductions
+    ts = reachability_graph(group_heavy_net())
+    trees, cycles = [], []
+    build, cycle = polysynth.build_spanning, polysynth.fundamental_cycle
+
+    def counting_build(*args, **kwargs):
+        trees.append(build(*args, **kwargs))
+        return trees[-1]
+
+    def counting_cycle(sd, chord):
+        cycles.append(chord)
+        return cycle(sd, chord)
+
+    monkeypatch.setattr(polysynth, "build_spanning", counting_build)
+    monkeypatch.setattr(polysynth, "fundamental_cycle", counting_cycle)
+    report = synthesize_rzpt(ts, 2)
+    assert report.net is not None
+    # both kinds of atom were searched on that one tree
+    assert any(isinstance(r.sig["t5"], Pair) for r in report.witness.regions)
+    assert len(trees) == 1
+    assert cycles == list(trees[0].chords)
