@@ -26,7 +26,7 @@ from .fileio import (
 from .nets import CapExceeded, DEFAULT_CAP, reachability_graph
 from .nettypes import FAMILIES, format_event, make_type
 from .oracle import BudgetExceeded, OracleBudget, oracle_decide
-from .polysynth import decide_essp_rzpt, decide_ssp, synthesize_rzpt
+from .polysynth import decide_essp_rzpt, decide_solvability_rzpt, decide_ssp, synthesize_rzpt
 from .reduction import (
     VARIANTS,
     alpha_witness_region,
@@ -119,10 +119,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         rep = decide_ssp(ts, tau)
         answer, failing, method = rep.holds, rep.failing, "polynomial"
     elif args.family == "rzpt":
-        # ssp first, as in synthesize_rzpt, so both name the same failing atom
-        rep = decide_ssp(ts, tau) if args.problem == "solvability" else None
-        if rep is None or rep.holds:
-            rep = decide_essp_rzpt(ts, args.b)
+        # the decision synthesize_rzpt makes, so both name the same failing atom
+        rep = (decide_solvability_rzpt if args.problem == "solvability" else decide_essp_rzpt)(ts, args.b)
         answer, failing, method = rep.holds, rep.failing, "polynomial"
     else:
         warnings.warn(

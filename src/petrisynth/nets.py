@@ -10,6 +10,7 @@ TS over canonical marking names.
 from __future__ import annotations
 
 import warnings
+from operator import getitem
 from typing import Iterable, Mapping, Optional
 
 from .nettypes import NetType, TauEvent
@@ -102,13 +103,8 @@ def fire(net: PetriNet, marking: Marking, transition: str) -> Optional[Marking]:
 
 
 def _fire(steps: list, marking: Marking) -> Optional[Marking]:
-    after = []
-    for step, tokens in zip(steps, marking):
-        nxt = step[tokens]
-        if nxt is None:
-            return None
-        after.append(nxt)
-    return tuple(after)
+    after = tuple(map(getitem, steps, marking))
+    return None if None in after else after
 
 
 def marking_name(marking: Marking, bound: int) -> str:
@@ -117,46 +113,47 @@ def marking_name(marking: Marking, bound: int) -> str:
     if not marking:
         return "-"
     if bound <= 9:
-        return "".join(str(v) for v in marking)
-    return ".".join(str(v) for v in marking)
+        return "".join(map(str, marking))
+    return ".".join(map(str, marking))
 
 
 def reachability_graph(net: PetriNet, cap: int = DEFAULT_CAP) -> TransitionSystem:
     """BFS over reachable markings, as a TS named after the net.
 
-    Raises CapExceeded past cap states.  Transitions that never fire are
-    not part of the result's event set; each one is warned about.
+    Each marking is named once, when it is first reached.  Raises
+    CapExceeded past cap states.  Transitions that never fire are not part
+    of the result's event set; each one is warned about.
     """
     b = net.net_type.bound
     start = net.initial_marking()
-    order: list[Marking] = [start]
-    seen = {start}
+    names = {start: marking_name(start, b)}
+    order = [start]
     arcs: list[tuple[str, str, str]] = []
     fired: set[str] = set()
-    head = 0
-    while head < len(order):
-        marking = order[head]
-        head += 1
-        for t in net.transitions:
-            after = _fire(net._steps[t], marking)
+    steps = [(t, net._steps[t]) for t in net.transitions]
+    for marking in order:
+        src = names[marking]
+        for t, table in steps:
+            after = _fire(table, marking)
             if after is None:
                 continue
             fired.add(t)
-            if after not in seen:
-                if len(seen) >= cap:
+            dst = names.get(after)
+            if dst is None:
+                if len(names) >= cap:
                     raise CapExceeded(
                         f"cap exceeded: more than {cap} reachable markings in {net.name}"
                     )
-                seen.add(after)
+                dst = names[after] = marking_name(after, b)
                 order.append(after)
-            arcs.append((marking_name(marking, b), t, marking_name(after, b)))
+            arcs.append((src, t, dst))
     for t in net.transitions:
         if t not in fired:
             warnings.warn(f"transition never fires, dropped from graph: {t}")
     return TransitionSystem(
         name=f"{net.name}.rg",
-        states=[marking_name(m, b) for m in order],
+        states=names.values(),
         events=[t for t in net.transitions if t in fired],
         arcs=arcs,
-        initial=marking_name(start, b),
+        initial=names[start],
     )

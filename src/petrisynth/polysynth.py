@@ -407,6 +407,17 @@ def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
     return first_fit(ts, tau, "essp", lambda atom: decide_essa_rzpt(ts, bound, atom, sd=sd))
 
 
+def decide_solvability_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
+    """Solvability over rzpt: one first_fit over one spanning tree, with
+    decide_ssa or decide_essa_rzpt as the search by atom kind, so both
+    kinds share the tree, its cycle rows and their reductions."""
+    tau = make_type("rzpt", bound)
+    sd = build_spanning(ts, bound)
+    return first_fit(ts, tau, "solvability", lambda atom: (
+        decide_ssa(ts, tau, atom, sd=sd) if atom.kind == "ssa" else decide_essa_rzpt(ts, bound, atom, sd=sd)
+    ))
+
+
 def synthesize_rzpt(
     ts: TransitionSystem,
     bound: int,
@@ -415,24 +426,19 @@ def synthesize_rzpt(
 ) -> SynthesisReport:
     """Synthesize an rzpt net whose reachability graph is isomorphic to ts.
 
-    Decides solvability by one first_fit over one spanning tree, with
-    decide_ssa or decide_essa_rzpt as the search by atom kind; on success
-    the witness's regions become the net and the isomorphism back to ts is
+    Decides solvability with decide_solvability_rzpt; on success the
+    witness's regions become the net and the isomorphism back to ts is
     computed and asserted.
     """
-    tau = make_type("rzpt", bound)
-    sd = build_spanning(ts, bound)
-    report = first_fit(ts, tau, "solvability", lambda atom: (
-        decide_ssa(ts, tau, atom, sd=sd) if atom.kind == "ssa" else decide_essa_rzpt(ts, bound, atom, sd=sd)
-    ))
+    report = decide_solvability_rzpt(ts, bound)
     if report.witness is None:
         return SynthesisReport(None, report.failing, None, None)
+    tau = make_type("rzpt", bound)
     net = synthesized_net(ts, tau, report.witness.regions, name=name or f"{ts.name}.synth")
-    graph = reachability_graph(net, cap)
-    iso = deterministic_isomorphism(graph, ts)
+    iso = deterministic_isomorphism(reachability_graph(net, cap), ts)
     if iso is None:
         raise AssertionError("synthesized net's reachability graph is not isomorphic")
-    return SynthesisReport(net, None, report.witness, dict(iso))
+    return SynthesisReport(net, None, report.witness, iso)
 
 
 def concrete_to_abstract(

@@ -299,36 +299,42 @@ def deterministic_isomorphism(
     """Initial-state-preserving label-preserving bijection, if one exists.
 
     Determinism makes the candidate unique: the image of the initial state
-    is forced, and every arc propagates the mapping.  Returns the state map
-    a -> b, or None.
+    is forced, and every arc propagates the mapping.  The walk runs on the
+    two indexes, with b's event positions renumbered to a's by name.
+    Returns the state map a -> b, in the order the walk reaches a's
+    states, or None.
     """
     if set(a.events) != set(b.events):
         return None
     if len(a.states) != len(b.states):
         return None
-    mapping = {a.initial: b.initial}
-    taken = {b.initial}
-    queue = [a.initial]
-    while queue:
-        x = queue.pop(0)
-        y = mapping[x]
-        out_x = a.out_edges(x)
-        if len(out_x) != len(b.out_edges(y)):
+    ia, ib = a.index, b.index
+    to_a = [ia.event[e] for e in b.events]
+    image = [-1] * len(a.states)
+    taken = [False] * len(b.states)
+    image[ia.initial] = ib.initial
+    taken[ib.initial] = True
+    order = [ia.initial]
+    for x in order:
+        out_y = ib.out[image[x]]
+        out_x = ia.out[x]
+        if len(out_x) != len(out_y):
             return None
-        for event, x2 in out_x:
-            y2 = b.delta(y, event)
+        succ = {to_a[e]: y2 for e, y2 in out_y}
+        for e, x2 in out_x:
+            y2 = succ.get(e)
             if y2 is None:
                 return None
-            if x2 in mapping:
-                if mapping[x2] != y2:
+            if image[x2] >= 0:
+                if image[x2] != y2:
                     return None
+            elif taken[y2]:
+                return None
             else:
-                if y2 in taken:
-                    return None
-                mapping[x2] = y2
-                taken.add(y2)
-                queue.append(x2)
-    if len(mapping) != len(a.states):
+                image[x2] = y2
+                taken[y2] = True
+                order.append(x2)
+    if len(order) != len(a.states):
         # some a-state unreachable; bijectivity cannot be certified
         return None
-    return mapping
+    return {a.states[x]: b.states[image[x]] for x in order}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from petrisynth import cli
+from petrisynth import cli, polysynth
 from petrisynth.cli import main
 from petrisynth.fileio import parse_net, parse_ts, serialize_formula, serialize_ts
 from petrisynth.nets import reachability_graph
@@ -114,6 +114,33 @@ def test_bad_cap_flag(a2_file, tmp_path, capsys):
             assert captured.out == ""
     assert not (tmp_path / "bad.net").exists()
     assert not (tmp_path / "a2.rg.ts").exists()
+
+
+def test_synthesize_cap_bounds_the_state_count(a2_file, capsys):
+    # the README's 3-cycle a2.ts: its rzpt net at b=2 reaches three markings
+    assert main(["synthesize", "--b", "2", "--cap", "2", str(a2_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap exceeded: more than 2 reachable markings in a2.synth\n"
+    assert captured.out == ""
+    assert not a2_file.with_suffix(".net").exists()
+    assert main(["synthesize", "--b", "2", "--cap", "3", str(a2_file)]) == 0
+
+
+def test_check_solvability_builds_one_spanning_tree(a1_file, a2_file, monkeypatch, capsys):
+    trees = []
+    build = polysynth.build_spanning
+
+    def counting_build(*args, **kwargs):
+        trees.append(args[0].name)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(polysynth, "build_spanning", counting_build)
+    for path, b, code in ((a1_file, 1, 0), (a2_file, 2, 0), (a2_file, 1, 1)):
+        trees.clear()
+        argv = ["check", "--family", "rzpt", "--b", str(b), "--problem", "solvability", str(path)]
+        assert main(argv) == code
+        assert trees == [path.stem]
+    assert capsys.readouterr().out.splitlines()[-1] == "solvability over rzpt at b=1: no (unsolvable: ssa(s0,s1))"
 
 
 def test_synthesize_reachability_iso_pipeline(a2_file, a2, tmp_path, capsys):

@@ -1,17 +1,25 @@
+import random
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petrisynth.nets import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import gen  # noqa: E402
+
+from petrisynth.fileio import serialize_ts  # noqa: E402
+from petrisynth.nets import (  # noqa: E402
     CapExceeded,
     PetriNet,
     fire,
     marking_name,
     reachability_graph,
 )
-from petrisynth.nettypes import Group, Pair, delta_tau, make_type
-from petrisynth.ts import deterministic_isomorphism, validate
+from petrisynth.nettypes import Group, Pair, delta_tau, make_type  # noqa: E402
+from petrisynth.ts import TransitionSystem, deterministic_isomorphism, validate  # noqa: E402
 
 PPT1 = make_type("ppt", 1)
 RZPT2 = make_type("rzpt", 2)
@@ -196,6 +204,7 @@ def test_reachability_graph_is_valid_and_deterministic(net):
         split = src.split(".") if bound > 9 else list(src)
         marking = tuple(int(v) for v in split)
         assert marking_name(fire(net, marking, event), bound) == dst
+    assert serialize_ts(graph) == serialize_ts(quiet(naive_graph, net))
 
 
 def test_firing_leaves_the_event_list_unbuilt():
@@ -220,3 +229,93 @@ def test_fire_applies_delta_tau_place_wise(data, family, bound):
         assert fire(net, marking, t) == (None if None in after else tuple(after))
     with pytest.raises(ValueError, match="unknown transition: t2"):
         fire(net, marking, "t2")
+
+
+def naive_graph(net):
+    """Reference reachability graph: a list-scanning BFS over fire, naming
+    each marking afresh at every arc."""
+    bound = net.net_type.bound
+
+    def name(marking):
+        return ("." if bound > 9 else "").join(str(v) for v in marking) or "-"
+
+    order, arcs = [net.initial_marking()], []
+    for marking in order:
+        for t in net.transitions:
+            after = fire(net, marking, t)
+            if after is not None:
+                if after not in order:
+                    order.append(after)
+                arcs.append((name(marking), t, name(after)))
+    fired = [t for t in net.transitions if any(e == t for _, e, _ in arcs)]
+    return TransitionSystem(f"{net.name}.rg", map(name, order), fired, arcs, name(order[0]))
+
+
+def quiet(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args, **kwargs)
+
+
+@st.composite
+def rzpt_nets(draw, bounds=(1, 2, 3)):
+    """An rzpt net from the benchmark's generator: every marking reachable,
+    every transition fired."""
+    bound = draw(st.sampled_from(bounds))
+    places = draw(st.integers(1, 2 if bound > 2 else 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    marking, transitions, flow, _ = gen.rzpt_net(rng, places, bound, 0.15)
+    events = {k: Group(v[1]) if v[0] == "g" else Pair(v[1], v[2]) for k, v in flow.items()}
+    return PetriNet(f"g{bound}x{places}", make_type("rzpt", bound), marking, transitions, events)
+
+
+def relabeled(graph, rng):
+    """The graph with shuffled state names and events declared in shuffled
+    order, and the renaming."""
+    order = list(range(len(graph.states)))
+    rng.shuffle(order)
+    names = {s: f"s{order[i]}" for i, s in enumerate(graph.states)}
+    events = list(graph.events)
+    rng.shuffle(events)
+    arcs = [(names[s], e, names[t]) for s, e, t in graph.arcs()]
+    ts = TransitionSystem("target", [names[s] for s in graph.states], events, arcs, names[graph.initial])
+    return ts, names
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), net=rzpt_nets())
+def test_isomorphism_finds_the_relabeling(data, net):
+    graph = reachability_graph(net)
+    ts, names = relabeled(graph, random.Random(data.draw(st.integers(0, 2**32))))
+    # the walk reaches the graph's states in the order the graph found them
+    assert list(deterministic_isomorphism(graph, ts).items()) == list(names.items())
+    assert deterministic_isomorphism(ts, graph) == {v: k for k, v in names.items()}
+    arcs = list(ts.arcs())
+    if data.draw(st.booleans()):
+        del arcs[data.draw(st.integers(0, len(arcs) - 1))]
+    else:
+        free = [(s, e) for s in ts.states for e in ts.events if not ts.has_arc(s, e)]
+        if not free:
+            return
+        src, event = data.draw(st.sampled_from(free))
+        arcs.append((src, event, data.draw(st.sampled_from(ts.states))))
+    changed = TransitionSystem(ts.name, ts.states, ts.events, arcs, ts.initial)
+    assert deterministic_isomorphism(graph, changed) is None
+    assert deterministic_isomorphism(changed, graph) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=rzpt_nets(bounds=(1, 2, 3, 10)))
+def test_reachability_graph_equals_the_naive_bfs(net):
+    assert serialize_ts(reachability_graph(net)) == serialize_ts(naive_graph(net))
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=rzpt_nets())
+def test_cap_boundary(net):
+    graph = reachability_graph(net)
+    count = len(graph.states)
+    assert reachability_graph(net, cap=count) == graph
+    with pytest.raises(CapExceeded) as raised:
+        reachability_graph(net, cap=count - 1)
+    assert str(raised.value) == f"cap exceeded: more than {count - 1} reachable markings in {net.name}"

@@ -139,6 +139,27 @@ def test_isomorphism_rejects_mismatch(a1, a2):
     assert deterministic_isomorphism(a1, bent) is None
 
 
+def test_isomorphism_matches_events_by_name(a1):
+    # b declares the events in the opposite order, so their positions differ
+    reordered = TransitionSystem(
+        "reordered", ["t0", "t1", "t2", "t3"], ["b", "a"],
+        [("t0", "b", "t2"), ("t0", "a", "t1"), ("t1", "b", "t3"), ("t2", "a", "t3")],
+        "t0",
+    )
+    forward = deterministic_isomorphism(a1, reordered)
+    assert list(forward.items()) == [("s0", "t0"), ("s1", "t1"), ("s2", "t2"), ("s3", "t3")]
+    backward = deterministic_isomorphism(reordered, a1)
+    assert list(backward.items()) == [("t0", "s0"), ("t2", "s2"), ("t1", "s1"), ("t3", "s3")]
+    swapped = TransitionSystem(
+        "swapped", reordered.states, ["b", "a"],
+        [("t0", "a", "t2"), ("t0", "b", "t1"), ("t1", "a", "t3"), ("t2", "b", "t3")],
+        "t0",
+    )
+    assert list(deterministic_isomorphism(a1, swapped).items()) == [
+        ("s0", "t0"), ("s1", "t2"), ("s2", "t1"), ("s3", "t3"),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**9))
 def test_isomorphism_invariant_under_relabeling(seed):
