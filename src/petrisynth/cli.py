@@ -26,7 +26,7 @@ from .fileio import (
 from .nets import CapExceeded, DEFAULT_CAP, reachability_graph
 from .nettypes import FAMILIES, format_event, make_type
 from .oracle import BudgetExceeded, OracleBudget, oracle_decide
-from .polysynth import decide_essp_rzpt, decide_solvability_rzpt, decide_ssp, synthesize_rzpt
+from .polysynth import POLYNOMIAL, decide, synthesize_rzpt
 from .reduction import (
     VARIANTS,
     alpha_witness_region,
@@ -115,12 +115,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
             answer=None, failing=None, method=None,
         )
         return out.flush(2)
-    if args.problem == "ssp":
-        rep = decide_ssp(ts, tau)
-        answer, failing, method = rep.holds, rep.failing, "polynomial"
-    elif args.family == "rzpt":
+    if args.problem in POLYNOMIAL[args.family]:
         # the decision synthesize_rzpt makes, so both name the same failing atom
-        rep = (decide_solvability_rzpt if args.problem == "solvability" else decide_essp_rzpt)(ts, args.b)
+        rep = decide(ts, tau, args.problem)
         answer, failing, method = rep.holds, rep.failing, "polynomial"
     else:
         warnings.warn(

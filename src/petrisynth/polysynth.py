@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import modsolve
-from .nets import DEFAULT_CAP, PetriNet, reachability_graph
+from .nets import DEFAULT_CAP, CapExceeded, PetriNet, reachability_graph
 from .nettypes import Group, NetType, Pair, TauEvent, absval, make_type, minus, plus
 from .regions import (
     CoverageView,
@@ -32,7 +32,9 @@ from .regions import (
 )
 from .ts import PROBLEMS, SeparationAtom, TransitionSystem, deterministic_isomorphism
 
-Z_DECIDABLE_SSP = ("zpt", "zppt", "rzpt")
+# the paper's polynomial cases: the problems each family decides by
+# decide; every other (family, problem) pair is NP-complete
+POLYNOMIAL = {"zpt": ("ssp",), "zppt": ("ssp",), "rzpt": PROBLEMS}
 Rows = tuple[tuple[int, ...], ...]
 
 
@@ -217,7 +219,7 @@ def decide_ssa(
     [reduced cycles | 0; psi(s') - psi(s) | 1] (modsolve.first_solvable)
     tests every q and gives the first passing q's solution.
     """
-    if tau.family not in Z_DECIDABLE_SSP:
+    if "ssp" not in POLYNOMIAL.get(tau.family, ()):
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
     if atom.kind != "ssa":
         raise ValueError(f"not an ssa atom: {atom}")
@@ -233,10 +235,21 @@ def decide_ssa(
     return _derived_region(sd, tau, atom, 0, found[1])
 
 
-def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
-    """State separation over zpt/zppt/rzpt: first_fit over decide_ssa."""
+def decide(ts: TransitionSystem, tau: NetType, problem: str) -> DecisionReport:
+    """A polynomial case of POLYNOMIAL: one first_fit over one spanning
+    tree, with decide_ssa or decide_essa_rzpt as the search by atom kind,
+    so both kinds share the tree, its cycle rows and their reductions."""
+    if problem not in POLYNOMIAL.get(tau.family, ()):
+        raise ValueError(f"no polynomial decider for {problem} over {tau.family}")
     sd = build_spanning(ts, tau.bound)
-    return first_fit(ts, tau, "ssp", lambda atom: decide_ssa(ts, tau, atom, sd=sd))
+    return first_fit(ts, tau, problem, lambda atom: (
+        decide_ssa(ts, tau, atom, sd=sd) if atom.kind == "ssa" else decide_essa_rzpt(ts, tau.bound, atom, sd=sd)
+    ))
+
+
+def decide_ssp(ts: TransitionSystem, tau: NetType) -> DecisionReport:
+    """State separation over zpt/zppt/rzpt."""
+    return decide(ts, tau, "ssp")
 
 
 def first_fit(
@@ -401,21 +414,8 @@ def decide_essa_rzpt(
 
 
 def decide_essp_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
-    """Event/state separation over rzpt: first_fit over decide_essa_rzpt."""
-    sd = build_spanning(ts, bound)
-    tau = make_type("rzpt", bound)
-    return first_fit(ts, tau, "essp", lambda atom: decide_essa_rzpt(ts, bound, atom, sd=sd))
-
-
-def decide_solvability_rzpt(ts: TransitionSystem, bound: int) -> DecisionReport:
-    """Solvability over rzpt: one first_fit over one spanning tree, with
-    decide_ssa or decide_essa_rzpt as the search by atom kind, so both
-    kinds share the tree, its cycle rows and their reductions."""
-    tau = make_type("rzpt", bound)
-    sd = build_spanning(ts, bound)
-    return first_fit(ts, tau, "solvability", lambda atom: (
-        decide_ssa(ts, tau, atom, sd=sd) if atom.kind == "ssa" else decide_essa_rzpt(ts, bound, atom, sd=sd)
-    ))
+    """Event/state separation over rzpt."""
+    return decide(ts, make_type("rzpt", bound), "essp")
 
 
 def synthesize_rzpt(
@@ -426,15 +426,19 @@ def synthesize_rzpt(
 ) -> SynthesisReport:
     """Synthesize an rzpt net whose reachability graph is isomorphic to ts.
 
-    Decides solvability with decide_solvability_rzpt; on success the
-    witness's regions become the net and the isomorphism back to ts is
-    computed and asserted.
+    A TS of more than cap states raises CapExceeded before deciding, as the
+    net's reachability graph would.  Decides solvability with decide; on
+    success the witness's regions become the net and the isomorphism back
+    to ts is computed and asserted.
     """
-    report = decide_solvability_rzpt(ts, bound)
+    tau = make_type("rzpt", bound)
+    name = name or f"{ts.name}.synth"
+    if len(ts.states) > cap:
+        raise CapExceeded(f"cap exceeded: more than {cap} reachable markings in {name}")
+    report = decide(ts, tau, "solvability")
     if report.witness is None:
         return SynthesisReport(None, report.failing, None, None)
-    tau = make_type("rzpt", bound)
-    net = synthesized_net(ts, tau, report.witness.regions, name=name or f"{ts.name}.synth")
+    net = synthesized_net(ts, tau, report.witness.regions, name=name)
     iso = deterministic_isomorphism(reachability_graph(net, cap), ts)
     if iso is None:
         raise AssertionError("synthesized net's reachability graph is not isomorphic")

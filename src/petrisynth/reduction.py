@@ -22,13 +22,12 @@ from .nettypes import Group, NetType, Pair, TauEvent, make_type
 from .polysynth import first_fit
 from .regions import (
     Region,
-    RegionCheck,
     WitnessSet,
     solves,
     support_from_signature,
     validate_region,
 )
-from .ts import SeparationAtom, TransitionSystem, _linear_walk, essa_atoms
+from .ts import SeparationAtom, TransitionSystem, _linear_walk
 
 VARIANTS = ("ppt-essp", "pt-essp", "ssp", "z-essp")
 
@@ -118,12 +117,6 @@ class GadgetUnion:
             if state in member.states:
                 return member
         raise ValueError(f"state not in the union: {state}")
-
-    def states(self) -> list[str]:
-        return list(self.ts.states)
-
-    def essa_atoms(self) -> list[SeparationAtom]:
-        return essa_atoms(self.ts)
 
     @cached_property
     def _paths(self) -> dict[str, list[str]]:
@@ -267,7 +260,7 @@ def _fresh(base: str, used: set[str]) -> str:
     return name
 
 
-def linear_joining(union: GadgetUnion, name: Optional[str] = None) -> TransitionSystem:
+def linear_joining(union: GadgetUnion) -> TransitionSystem:
     """Chain the members into one linear TS.
 
     Fresh connectors lead from each member's terminal over a w event into a
@@ -295,7 +288,7 @@ def linear_joining(union: GadgetUnion, name: Optional[str] = None) -> Transition
         arcs.extend(member.arcs())
         terminal = paths[member.name][-1]
     return TransitionSystem(
-        name or f"{union.variant}.lj.b{union.bound}",
+        f"{union.variant}.lj.b{union.bound}",
         states,
         events,
         arcs,
@@ -303,7 +296,7 @@ def linear_joining(union: GadgetUnion, name: Optional[str] = None) -> Transition
     )
 
 
-def joining(union: GadgetUnion, name: Optional[str] = None) -> TransitionSystem:
+def joining(union: GadgetUnion) -> TransitionSystem:
     """Glue the members onto a fresh backbone path.
 
     Backbone states q0 .. qn are chained by w events; each qi branches over
@@ -324,7 +317,7 @@ def joining(union: GadgetUnion, name: Optional[str] = None) -> TransitionSystem:
         states.extend(member.states)
         arcs.extend(member.arcs())
     return TransitionSystem(
-        name or f"{union.variant}.j.b{union.bound}",
+        f"{union.variant}.j.b{union.bound}",
         states,
         events,
         arcs,
@@ -349,17 +342,6 @@ class AlphaWitness:
     joined: TransitionSystem
     region: Region
     atom: SeparationAtom
-
-
-def validate_union_region(
-    union: GadgetUnion, tau: NetType, region: Region
-) -> RegionCheck:
-    """Region condition over every member arc of the union."""
-    if set(region.sup) != set(union.ts.states):
-        raise ValueError("support map does not match the union states")
-    if set(region.sig) != set(union.events):
-        raise ValueError("signature map does not match the union events")
-    return validate_region(union.ts, tau, region)
 
 
 def _propagate(

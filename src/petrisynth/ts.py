@@ -109,18 +109,10 @@ class TransitionSystem:
         Raises ValueError naming the first duplicate state or event, an
         unknown initial state, or an arc on an undeclared event or state.
         """
-        state = _positions("state", self.states)
-        event = _positions("event", self.events)
-        if self.initial not in state:
-            raise ValueError(f"unknown initial state: {self.initial}")
-        out: list[list[tuple[int, int]]] = [[] for _ in self.states]
-        for (src, e), dst in self._delta.items():
-            if e not in event:
-                raise ValueError(f"arc event not declared: {src} {e} {dst}")
-            if src not in state or dst not in state:
-                raise ValueError(f"arc endpoint not a state: {src} {e} {dst}")
-            out[state[src]].append((event[e], state[dst]))
-        return TSIndex(state, event, state[self.initial], tuple(map(tuple, out)))
+        index, violations = _structure(self)
+        if index is None:
+            raise ValueError(violations[0])
+        return index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransitionSystem):
@@ -140,13 +132,37 @@ class TransitionSystem:
         )
 
 
-def _positions(label: str, names: tuple[str, ...]) -> dict[str, int]:
+def _positions(label: str, names: tuple[str, ...], violations: list[str]) -> dict[str, int]:
     position: dict[str, int] = {}
     for name in names:
         if name in position:
-            raise ValueError(f"duplicate {label}: {name}")
-        position[name] = len(position)
+            violations.append(f"duplicate {label}: {name}")
+        else:
+            position[name] = len(position)
     return position
+
+
+def _structure(ts: TransitionSystem) -> tuple[Optional[TSIndex], list[str]]:
+    """One structural walk: the TS in positions, or None and every
+    violation, in the order the walk meets them: duplicate states,
+    duplicate events, an unknown initial state, then one line per bad arc
+    in insertion order."""
+    violations: list[str] = []
+    state = _positions("state", ts.states, violations)
+    event = _positions("event", ts.events, violations)
+    if ts.initial not in state:
+        violations.append(f"unknown initial state: {ts.initial}")
+    out: list[list[tuple[int, int]]] = [[] for _ in state]
+    for (src, e), dst in ts._delta.items():
+        if e not in event:
+            violations.append(f"arc event not declared: {src} {e} {dst}")
+        elif src not in state or dst not in state:
+            violations.append(f"arc endpoint not a state: {src} {e} {dst}")
+        else:
+            out[state[src]].append((event[e], state[dst]))
+    if violations:
+        return None, violations
+    return TSIndex(state, event, state[ts.initial], tuple(map(tuple, out))), violations
 
 
 @dataclass
@@ -167,31 +183,13 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     ]:
         if not IDENTIFIER.match(value):
             violations.append(f"bad {label} identifier: {value!r}")
-    seen: set[str] = set()
-    for s in ts.states:
-        if s in seen:
-            violations.append(f"duplicate state: {s}")
-        seen.add(s)
-    seen = set()
-    for e in ts.events:
-        if e in seen:
-            violations.append(f"duplicate event: {e}")
-        seen.add(e)
-    state_set = set(ts.states)
-    event_set = set(ts.events)
-    if ts.initial not in state_set:
-        violations.append(f"unknown initial state: {ts.initial}")
-    for (src, event), dst in ts._delta.items():
-        if src not in state_set:
-            violations.append(f"arc source not a state: {src}")
-        if dst not in state_set:
-            violations.append(f"arc target not a state: {dst}")
-        if event not in event_set:
-            violations.append(f"arc event not declared: {event}")
+    try:
+        index = ts.index
+    except ValueError:
+        violations.extend(_structure(ts)[1])
     if violations:
         return ValidationReport(False, violations)
 
-    index = ts.index
     reached = [False] * len(ts.states)
     reached[index.initial] = True
     frontier = [index.initial]

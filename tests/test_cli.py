@@ -6,8 +6,9 @@ from petrisynth import cli, polysynth
 from petrisynth.cli import main
 from petrisynth.fileio import parse_net, parse_ts, serialize_formula, serialize_ts
 from petrisynth.nets import reachability_graph
+from petrisynth.nettypes import FAMILIES
 from petrisynth.reduction import Cm1in3Formula
-from petrisynth.ts import TransitionSystem, deterministic_isomorphism
+from petrisynth.ts import PROBLEMS, TransitionSystem, deterministic_isomorphism
 
 
 @pytest.fixture
@@ -124,6 +125,58 @@ def test_synthesize_cap_bounds_the_state_count(a2_file, capsys):
     assert captured.out == ""
     assert not a2_file.with_suffix(".net").exists()
     assert main(["synthesize", "--b", "2", "--cap", "3", str(a2_file)]) == 0
+
+
+def test_synthesize_checks_the_cap_before_deciding(a2_file, monkeypatch, capsys):
+    # a2.ts is not rzpt-solvable at b=1, but its three states are past the
+    # cap: the cap wins, with no decision made and no net written
+    trees = []
+    build = polysynth.build_spanning
+
+    def counting_build(*args, **kwargs):
+        trees.append(args[0].name)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(polysynth, "build_spanning", counting_build)
+    assert main(["synthesize", "--b", "1", "--cap", "2", str(a2_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cap exceeded: more than 2 reachable markings in a2.synth\n"
+    assert captured.out == ""
+    assert not a2_file.with_suffix(".net").exists()
+    assert trees == []
+
+
+# the method check decides a2.ts with; pt and ppt are refused (no method)
+CHECK_METHOD = {
+    ("zpt", "ssp"): "polynomial",
+    ("zpt", "essp"): "oracle",
+    ("zpt", "solvability"): "oracle",
+    ("zppt", "ssp"): "polynomial",
+    ("zppt", "essp"): "oracle",
+    ("zppt", "solvability"): "oracle",
+    ("rzpt", "ssp"): "polynomial",
+    ("rzpt", "essp"): "polynomial",
+    ("rzpt", "solvability"): "polynomial",
+}
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_check_dispatch(a2_file, capsys, family, problem, b):
+    # a2.ts is a 3-cycle: s0 and s1 need b >= 2 apart, every essa atom is
+    # solvable
+    method = CHECK_METHOD.get((family, problem))
+    failing = "ssa(s0,s1)" if method and problem != "essp" and b == 1 else None
+    code = 2 if method is None else int(failing is not None)
+    argv = ["--json", "check", "--family", family, "--b", str(b), "--problem", problem, str(a2_file)]
+    if method == "oracle":
+        with pytest.warns(UserWarning, match="falling back to the exhaustive oracle"):
+            assert main(argv) == code
+    else:
+        assert main(argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert (report["exit"], report["method"], report["failing"]) == (code, method, failing)
 
 
 def test_check_solvability_builds_one_spanning_tree(a1_file, a2_file, monkeypatch, capsys):

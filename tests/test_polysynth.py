@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from petrisynth import modsolve, polysynth
 from petrisynth.nets import PetriNet, reachability_graph
-from petrisynth.nettypes import Group, Pair, make_type
+from petrisynth.nettypes import Z_FAMILIES, Group, Pair, make_type
 from petrisynth.oracle import enumerate_regions, oracle_decide
 from petrisynth.polysynth import (
     AbstractRegion,
     base_system,
     build_spanning,
     concrete_to_abstract,
+    decide,
     decide_essa_rzpt,
     decide_essp_rzpt,
     decide_ssa,
@@ -199,7 +200,7 @@ def test_deciders_reject_foreign_spanning_data(demo8, a2):
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
     bound=st.sampled_from([1, 2, 3, 5]),
-    family=st.sampled_from(polysynth.Z_DECIDABLE_SSP),
+    family=st.sampled_from(Z_FAMILIES),
 )
 def test_spanning_order_does_not_change_atom_decisions(seed, bound, family):
     # a dfs tree gives other psi vectors, so other [A | E] blocks to reduce
@@ -219,6 +220,20 @@ def test_decide_ssa_family_guard(a2):
         decide_ssa(a2, make_type("pt", 1), SeparationAtom.ssa("s0", "s1"))
     with pytest.raises(ValueError, match="not an ssa atom"):
         decide_ssa(a2, make_type("zppt", 2), SeparationAtom.essa("a", "s0"))
+
+
+@pytest.mark.parametrize("family, problem", [("zpt", "essp"), ("zppt", "solvability"), ("pt", "ssp")])
+def test_decide_refuses_np_complete_cases(a2, family, problem):
+    with pytest.raises(ValueError, match=f"no polynomial decider for {problem} over {family}"):
+        decide(a2, make_type(family, 2), problem)
+
+
+def test_decide_ssp_refuses_pure_families_on_any_ts():
+    # a 1-state TS has no ssa atom, so the refusal cannot wait for one
+    single = TransitionSystem("one", ["s0"], ["a"], [("s0", "a", "s0")], "s0")
+    for family in ("pt", "ppt"):
+        with pytest.raises(ValueError, match=f"no polynomial decider for ssp over {family}"):
+            decide_ssp(single, make_type(family, 1))
 
 
 def test_decide_ssp_cycle(a2):

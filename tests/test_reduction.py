@@ -17,7 +17,6 @@ from petrisynth.reduction import (
     lemma6_region,
     linear_joining,
     ppt_essp_witness,
-    validate_union_region,
 )
 from petrisynth.regions import Region, build_witness, solves, validate_region
 from petrisynth.ts import SeparationAtom, essa_atoms, grade, is_linear, validate
@@ -111,7 +110,7 @@ def test_union_shapes_other_variants(example_formula):
 
 def test_union_essa_atoms(example_formula):
     union = build_union(example_formula, "ppt-essp", 2)
-    atoms = union.essa_atoms()
+    atoms = essa_atoms(union.ts)
     assert len(atoms) == 4981
     assert union.alpha in atoms
     assert all(a.kind == "essa" for a in atoms)
@@ -167,7 +166,7 @@ def test_alpha_witness_all_variants(example_formula):
         tau = make_type(VARIANT_FAMILY[variant], bound)
         witness = alpha_witness_region(example_formula, model, variant, bound)
         assert witness.atom == witness.union.alpha
-        assert validate_union_region(witness.union, tau, witness.union_region).ok
+        assert validate_region(witness.union.ts, tau, witness.union_region).ok
         assert validate_region(witness.joined, tau, witness.region).ok
         assert solves(witness.region, tau, witness.atom)
 
@@ -189,13 +188,13 @@ def test_alpha_witness_rejects_non_model(example_formula):
 def test_validate_union_region_errors(example_formula):
     union = build_union(example_formula, "ssp", 1)
     tau = make_type("ppt", 1)
-    with pytest.raises(ValueError, match="support map does not match the union states"):
-        validate_union_region(union, tau, Region({"h2_0": 0}, {}))
-    sup = {s: 0 for s in union.states()}
-    with pytest.raises(ValueError, match="signature map does not match the union events"):
-        validate_union_region(union, tau, Region(sup, {"k": Pair(0, 0)}))
+    with pytest.raises(ValueError, match="support map does not match the state set"):
+        validate_region(union.ts, tau, Region({"h2_0": 0}, {}))
+    sup = {s: 0 for s in union.ts.states}
+    with pytest.raises(ValueError, match="signature map does not match the event set"):
+        validate_region(union.ts, tau, Region(sup, {"k": Pair(0, 0)}))
     sig = {e: Pair(0, 0) for e in union.events}
-    assert validate_union_region(union, tau, Region(sup, sig)).ok
+    assert validate_region(union.ts, tau, Region(sup, sig)).ok
 
 
 def test_lemma6_case(example_formula):
@@ -220,7 +219,7 @@ def test_lemma6_region(example_formula):
     case, helper = lemma6_case(union, atom)
     assert (case, helper) == (2, "o0")
     region = lemma6_region(union, atom, case, helper)
-    assert validate_union_region(union, tau, region).ok
+    assert validate_region(union.ts, tau, region).ok
     assert solves(region, tau, atom)
     with pytest.raises(ValueError, match="atom requires case 2, not 1"):
         lemma6_region(union, atom, 1)
@@ -236,7 +235,7 @@ def test_ppt_essp_witness_full_coverage(example_formula):
     for bound, library_size, total in [(1, 9, 92), (2, 8, 90)]:
         union, witness = ppt_essp_witness(example_formula, model, bound)
         tau = make_type("ppt", bound)
-        atoms = union.essa_atoms()
+        atoms = essa_atoms(union.ts)
         assert set(witness.coverage) == set(atoms)
         for atom, i in witness.coverage.items():
             assert solves(witness.regions[i], tau, atom)
@@ -261,7 +260,6 @@ def test_union_ts_is_the_disjoint_union(example_formula):
     assert ts.events == union.events
     assert ts.arcs() == tuple(arc for member in union.members for arc in member.arcs())
     assert ts.initial == union.members[0].initial
-    assert essa_atoms(ts) == union.essa_atoms()
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])

@@ -50,6 +50,33 @@ def test_index_rejects_malformed_ts():
             TransitionSystem("bad", states, events, arcs, initial).index
 
 
+NAMES = ("s0", "s1", "s2", "a", "b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    states=st.lists(st.sampled_from(NAMES), min_size=1, max_size=4),
+    events=st.lists(st.sampled_from(NAMES), max_size=3),
+    initial=st.sampled_from(NAMES),
+    arcs=st.lists(st.tuples(*[st.sampled_from(NAMES)] * 3), max_size=5),
+)
+def test_validate_reports_what_index_rejects(states, events, initial, arcs):
+    # one arc per (state, event) keeps the TS deterministic; the names
+    # overlap, so duplicates, unknown initial states and undeclared arc
+    # events and endpoints all occur
+    unique = list({(src, e): (src, e, dst) for src, e, dst in arcs}.values())
+    ts = TransitionSystem("m", states, events, unique, initial)
+    report = validate(ts)
+    try:
+        ts.index
+    except ValueError as exc:
+        assert not report.ok
+        # every name is a good identifier, so the index's message leads
+        assert report.violations[0] == str(exc)
+    else:
+        assert all(v.startswith(("unreachable", "unused")) for v in report.violations)
+
+
 def test_nondeterminism_rejected():
     with pytest.raises(ValueError, match="nondeterministic arc: s0 a"):
         TransitionSystem(
