@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .nettypes import NetType
-from .regions import CoverageView, Region, WitnessSet, solves, support_from_signature
-from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
+from .polysynth import OpenAtoms
+from .regions import CoverageView, Region, WitnessSet, support_from_signature
+from .ts import SeparationAtom, TransitionSystem
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,16 @@ class BudgetExceeded(RuntimeError):
     """Raised when enumeration runs past the candidate budget.
 
     checked is the number of candidates consumed; for decision runs,
-    remaining carries the atoms still open, so the caller can tell an
+    remaining counts the atoms still open, so the caller can tell an
     inconclusive run from a negative answer.
     """
 
-    def __init__(self, checked: int, remaining: Optional[list[SeparationAtom]] = None):
+    def __init__(self, checked: int, remaining: Optional[int] = None):
         self.checked = checked
         self.remaining = remaining
         detail = f"oracle budget exhausted after {checked} candidates"
         if remaining:
-            detail += f"; {len(remaining)} atoms still open"
+            detail += f"; {remaining} atoms still open"
         super().__init__(detail)
 
 
@@ -161,28 +162,24 @@ def oracle_decide(
 ) -> OracleReport:
     """Decide ssp, essp or solvability by exhausting the region space.
 
-    The witness keeps each candidate that solves a still-open atom, so its
-    coverage, first fit over the kept regions, charges every atom to the
-    region that closed it.  A False answer means the space was fully
+    The witness keeps each candidate that closes one of the OpenAtoms, so
+    its coverage, first fit over the kept regions, charges every atom to
+    the region that closed it.  A False answer means the space was fully
     enumerated and the failing atom has no solving region at all.
     """
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem: {problem}")
-    unsolved = enumerate_atoms(ts, problem)
+    open_atoms = OpenAtoms(ts, tau, problem)
     regions: list[Region] = []
     checked = 0
     try:
-        if unsolved:
+        if len(open_atoms):
             for checked, region in _candidates(ts, tau, budget or OracleBudget()):
-                rest = [a for a in unsolved if not solves(region, tau, a)]
-                if len(rest) < len(unsolved):
+                if open_atoms.add(region):
                     regions.append(region)
-                    unsolved = rest
-                    if not unsolved:
+                    if not len(open_atoms):
                         break
     except BudgetExceeded as exc:
-        raise BudgetExceeded(exc.checked, unsolved) from None
-    if unsolved:
+        raise BudgetExceeded(exc.checked, len(open_atoms)) from None
+    if len(open_atoms):
         space = (tau.bound + 1) * len(tau.events) ** len(ts.events)
-        return OracleReport(False, None, unsolved[0], space)
+        return OracleReport(False, None, open_atoms.first(), space)
     return OracleReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, problem)), None, checked)

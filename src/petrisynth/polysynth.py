@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import modsolve
 from .nets import DEFAULT_CAP, CapExceeded, PetriNet, reachability_graph
@@ -259,64 +259,84 @@ def first_fit(
     search: Callable[[SeparationAtom], Optional[Region]],
     regions: Sequence[Region] = (),
 ) -> DecisionReport:
-    """Greedy witness assembly from the given regions: calls search, in
-    iter_atoms order, only for an atom no region so far solves, and fails
-    at the first atom it returns None for.  The ssa atoms are read off
-    classes of states of equal support; each event keeps its open states,
-    filtered by the regions whose step table of it has a None."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem: {problem}")
-    states, regions = ts.states, list(regions)
-
-    def open_ssa() -> Iterator[SeparationAtom]:
-        classes = [list(range(len(states)))] if len(states) > 1 else []
-        seen = 0
-        while True:
-            for region in regions[seen:]:
-                parts: dict[tuple[int, int], list[int]] = {}
-                for c, members in enumerate(classes):
-                    for i in members:
-                        parts.setdefault((c, region.sup[states[i]]), []).append(i)
-                classes = [part for part in parts.values() if len(part) > 1]
-            seen = len(regions)
-            if (pair := _cover(classes)) is None:
-                return
-            yield SeparationAtom.ssa(states[pair[0]], states[pair[1]])
-
-    def open_essa(event: str) -> Iterator[SeparationAtom]:
-        open_states = [s for s in states if not ts.has_arc(s, event)]
-        seen = 0
-        while open_states:
-            for region in regions[seen:]:
-                table = tau.step(region.sig[event])
-                if None in table:
-                    open_states = [s for s in open_states if table[region.sup[s]] is not None]
-            seen = len(regions)
-            if open_states:
-                yield SeparationAtom.essa(event, open_states[0])
-
-    events = ts.events if problem != "ssp" else ()
-    walks = itertools.chain([open_ssa()] if problem != "essp" else [], map(open_essa, events))
-    last = None
-    for atom in itertools.chain.from_iterable(walks):
+    """Greedy witness assembly from the given regions: calls search for
+    the first of the OpenAtoms, the first atom in iter_atoms order that no
+    region so far solves, and fails at the first atom it returns None for."""
+    open_atoms, regions, last = OpenAtoms(ts, tau, problem), list(regions), None
+    for region in regions:
+        open_atoms.add(region)
+    while (atom := open_atoms.first()) is not None:
         # a region that solves its atom moves the walk past it
         if atom == last:
             raise AssertionError(f"search left its atom open: {atom}")
-        region = search(atom)
-        if region is None:
+        if (region := search(atom)) is None:
             return DecisionReport(False, None, atom)
         regions.append(region)
+        open_atoms.add(region)
         last = atom
     return DecisionReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, problem)), None)
 
 
-def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
-    """First atom, as state positions, that no region found so far solves.
+class OpenAtoms:
+    """The atoms of a problem that no region added so far solves, kept
+    without listing them: the ssa atoms are the pairs inside classes of
+    states of equal support, and each event keeps its open states, listed
+    when first needed and filtered only by the regions whose step table of
+    it has a None."""
 
-    classes holds the states the regions cannot tell apart, in declared
-    order, one list per support tuple with at least two members; the pairs
-    inside a class are exactly the unsolved atoms.
-    """
+    def __init__(self, ts: TransitionSystem, tau: NetType, problem: str):
+        if problem not in PROBLEMS:
+            raise ValueError(f"unknown problem: {problem}")
+        self._ts, self._tau, n, k = ts, tau, len(ts.states), len(ts.events)
+        self._classes = [list(range(n))] if problem != "essp" and n > 1 else []
+        self._open: list[Optional[list[str]]] = [None] * k  # per event position
+        self._live = list(range(k)) if problem != "ssp" else []
+        self._essa = n * k - sum(map(len, ts.index.out)) if self._live else 0
+
+    def __len__(self) -> int:
+        return self._essa + sum(len(c) * (len(c) - 1) // 2 for c in self._classes)
+
+    def add(self, region: Region) -> bool:
+        """Close the atoms the region solves; whether it closed any."""
+        sup, sig, states, events, essa = region.sup, region.sig, self._ts.states, self._ts.events, self._essa
+        parts: dict[tuple[int, int], list[int]] = {}
+        for c, members in enumerate(self._classes):
+            for i in members:
+                parts.setdefault((c, sup[states[i]]), []).append(i)
+        split = len(parts) > len(self._classes)
+        self._classes = [part for part in parts.values() if len(part) > 1]
+        step, emptied = self._tau.step, False
+        for e in self._live:
+            if None in (table := step(sig[events[e]])):
+                found = self._open_on(e)
+                kept = self._open[e] = [s for s in found if table[sup[s]] is not None]
+                self._essa -= len(found) - len(kept)
+                emptied = emptied or not kept
+        if emptied:
+            self._live = [e for e in self._live if self._open[e] != []]
+        return split or self._essa < essa
+
+    def first(self) -> Optional[SeparationAtom]:
+        """The first open atom in iter_atoms order, or None."""
+        if (pair := _cover(self._classes)) is not None:
+            return SeparationAtom.ssa(self._ts.states[pair[0]], self._ts.states[pair[1]])
+        while self._live:
+            if found := self._open_on(self._live[0]):
+                return SeparationAtom.essa(self._ts.events[self._live[0]], found[0])
+            del self._live[0]
+        return None
+
+    def _open_on(self, e: int) -> list[str]:
+        if (found := self._open[e]) is None:
+            event, has_arc = self._ts.events[e], self._ts.has_arc
+            found = self._open[e] = [s for s in self._ts.states if not has_arc(s, event)]
+        return found
+
+
+def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
+    """First open ssa atom, as state positions: classes holds the states no
+    region tells apart, in declared order, one list per support tuple with
+    at least two members, so the pairs inside a class are the open atoms."""
     return min(((c[0], c[1]) for c in classes), default=None)
 
 

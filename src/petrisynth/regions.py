@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .nets import PetriNet
 from .nettypes import NetType, TauEvent, delta_tau
-from .ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms, iter_atoms
+from .ts import PROBLEMS, SeparationAtom, TransitionSystem, iter_atoms
 
 
 @dataclass
@@ -38,8 +38,8 @@ class WitnessSet:
     """Regions plus the atom coverage they were assembled for.
 
     coverage maps each atom to the index (into regions) of the first region
-    that solves it.  build_witness, which also charges partial witnesses,
-    stores it as a plain dict.  Every complete witness (the polynomial
+    that solves it.  check_witness, which also charges partial witnesses,
+    reports it as a plain dict.  Every complete witness (the polynomial
     deciders, the oracle, ppt_essp_witness) hands out a CoverageView
     instead: a read-only lazy mapping that supports len, iteration and
     lookup but not item assignment, so nothing is stored per atom.
@@ -52,9 +52,9 @@ class WitnessSet:
 class CoverageView(Mapping):
     """First-fit coverage of a complete witness, computed on lookup.
 
-    Iterates the atoms of the problem in enumerate_atoms order and maps
-    each to the index of the first of the regions that solves it, as
-    build_witness would, without storing anything per atom.  Looking up
+    Iterates the atoms of the problem in iter_atoms order and maps each
+    to the index of the first of the regions that solves it, as
+    check_witness would, without storing anything per atom.  Looking up
     anything that is not an atom of the problem (a reversed ssa pair, an
     enabled (e, s), an unknown name) raises KeyError, as does an atom that
     no region solves.
@@ -226,34 +226,21 @@ def solves(region: Region, tau: NetType, atom: SeparationAtom) -> bool:
     return tau.step(region.sig[atom.left])[tokens] is None
 
 
-def build_witness(
-    ts: TransitionSystem,
-    tau: NetType,
-    regions: Sequence[Region],
-    problem: str = "solvability",
-) -> tuple[WitnessSet, list[SeparationAtom]]:
-    """Greedy witness assembly: each atom is charged to the first region
-    that solves it.  Returns the witness and the uncovered atoms."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem: {problem}")
-    witness = WitnessSet(list(regions), {})
-    missing = []
-    for atom in enumerate_atoms(ts, problem):
-        for i, region in enumerate(witness.regions):
-            if solves(region, tau, atom):
-                witness.coverage[atom] = i
-                break
-        else:
-            missing.append(atom)
-    return witness, missing
-
-
 def check_witness(
     ts: TransitionSystem, tau: NetType, witness: WitnessSet, problem: str
 ) -> WitnessReport:
-    """Whether the witness covers every atom of the problem."""
-    rebuilt, missing = build_witness(ts, tau, witness.regions, problem)
-    return WitnessReport(not missing, missing, rebuilt.coverage)
+    """Whether the witness covers every atom of the problem, each charged
+    to the first region that solves it; missing lists the atoms none does."""
+    coverage: dict[SeparationAtom, int] = {}
+    missing = []
+    for atom in iter_atoms(ts, problem):
+        for i, region in enumerate(witness.regions):
+            if solves(region, tau, atom):
+                coverage[atom] = i
+                break
+        else:
+            missing.append(atom)
+    return WitnessReport(not missing, missing, coverage)
 
 
 def synthesized_net(

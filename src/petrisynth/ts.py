@@ -281,14 +281,7 @@ def essa_atoms(ts: TransitionSystem) -> list[SeparationAtom]:
 
 def enumerate_atoms(ts: TransitionSystem, problem: str = "solvability") -> list[SeparationAtom]:
     """Separation atoms for a decision problem: ssp, essp or solvability."""
-    if problem not in PROBLEMS:
-        raise ValueError(f"unknown problem: {problem}")
-    atoms: list[SeparationAtom] = []
-    if problem in ("ssp", "solvability"):
-        atoms.extend(ssa_atoms(ts))
-    if problem in ("essp", "solvability"):
-        atoms.extend(essa_atoms(ts))
-    return atoms
+    return list(iter_atoms(ts, problem))
 
 
 def deterministic_isomorphism(

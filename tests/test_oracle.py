@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from petrisynth import oracle
 from petrisynth.nettypes import FAMILIES, make_type
-from petrisynth.oracle import BudgetExceeded, OracleBudget, enumerate_regions, oracle_decide
-from petrisynth.regions import build_witness, check_witness, support_from_signature, validate_region
-from petrisynth.ts import PROBLEMS, SeparationAtom, TransitionSystem
+from petrisynth.oracle import BudgetExceeded, OracleBudget, OracleReport, enumerate_regions, oracle_decide
+from petrisynth.regions import CoverageView, WitnessSet, check_witness, solves, support_from_signature, validate_region
+from petrisynth.ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
 
 PPT1 = make_type("ppt", 1)
 PT1 = make_type("pt", 1)
@@ -85,8 +85,8 @@ def test_oracle_coverage_is_first_fit(a1, a2):
                 report = oracle_decide(ts, tau, problem)
                 if not report.answer:
                     continue
-                first_fit, missing = build_witness(ts, tau, report.witness.regions, problem)
-                assert missing == []
+                first_fit = check_witness(ts, tau, WitnessSet(report.witness.regions), problem)
+                assert first_fit.missing == []
                 assert list(report.witness.coverage.items()) == list(first_fit.coverage.items())
 
 
@@ -108,9 +108,32 @@ def _stream(candidates):
     return [(checked, list(r.sup.items()), r.sig) for checked, r in candidates]
 
 
-def _outcome(ts, tau, problem, budget):
+def _listing_decide(ts, tau, problem, budget=None):
+    # the reference the open-atom tracker replaces: every atom listed up
+    # front, and the open list refiltered with solves for every candidate
+    unsolved = enumerate_atoms(ts, problem)
+    regions = []
+    checked = 0
     try:
-        report = oracle_decide(ts, tau, problem, budget)
+        if unsolved:
+            for checked, region in oracle._candidates(ts, tau, budget or OracleBudget()):
+                rest = [a for a in unsolved if not solves(region, tau, a)]
+                if len(rest) < len(unsolved):
+                    regions.append(region)
+                    unsolved = rest
+                    if not unsolved:
+                        break
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(exc.checked, len(unsolved)) from None
+    if unsolved:
+        space = (tau.bound + 1) * len(tau.events) ** len(ts.events)
+        return OracleReport(False, None, unsolved[0], space)
+    return OracleReport(True, WitnessSet(regions, CoverageView(ts, tau, regions, problem)), None, checked)
+
+
+def _outcome(ts, tau, problem, budget, decide=oracle_decide):
+    try:
+        report = decide(ts, tau, problem, budget)
     except BudgetExceeded as exc:
         return "budget", exc.checked, exc.remaining, str(exc)
     regions = None if report.witness is None else [(list(r.sup.items()), r.sig) for r in report.witness.regions]
@@ -161,12 +184,45 @@ def test_walk_builds_only_regions(monkeypatch):
     assert len(calls) == regions
 
 
-def test_walk_runs_into_the_budget_on_long_chains():
-    # the walk keeps its own stack: 2000 events deep is no recursion
-    n = 2000
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    family=st.sampled_from(FAMILIES),
+    bound=st.integers(min_value=1, max_value=2),
+)
+def test_decide_matches_listing_loop(seed, family, bound):
+    ts = random_ts(random.Random(seed), max_states=6, max_events=4)
+    tau = make_type(family, bound)
+    for problem in PROBLEMS:
+        for max_candidates in (1, 2, 7, 10**7):
+            budget = OracleBudget(max_candidates)
+            assert _outcome(ts, tau, problem, budget) == _outcome(ts, tau, problem, budget, _listing_decide)
+
+
+def _chain(n):
     states = [f"s{i}" for i in range(n + 1)]
     events = [f"e{i}" for i in range(n)]
-    chain = TransitionSystem("chain", states, events, [(states[i], events[i], states[i + 1]) for i in range(n)], "s0")
+    return TransitionSystem("chain", states, events, [(states[i], events[i], states[i + 1]) for i in range(n)], "s0")
+
+
+def test_walk_runs_into_the_budget_on_long_chains():
+    # the walk keeps its own stack: 2000 events deep is no recursion
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_regions(chain, PT1, budget=OracleBudget(5)))
+        list(enumerate_regions(_chain(2000), PT1, budget=OracleBudget(5)))
     assert info.value.checked == 5
+
+
+def test_decision_runs_into_the_budget_without_listing_atoms(monkeypatch):
+    # 2001 states: (n+1)n/2 ssa atoms and n^2 essa atoms, of which the
+    # first five candidates close 2n-1 ssa atoms and 3 essa atoms; the
+    # open ones are counted, never built
+    made = []
+    for kind in ("ssa", "essa"):
+        build = getattr(SeparationAtom, kind)
+        monkeypatch.setattr(SeparationAtom, kind, staticmethod(lambda s, t, build=build: made.append(s) or build(s, t)))
+    with pytest.raises(BudgetExceeded) as info:
+        oracle_decide(_chain(2000), PT1, "solvability", OracleBudget(5))
+    assert info.value.checked == 5
+    assert info.value.remaining == 5_996_998
+    assert str(info.value) == "oracle budget exhausted after 5 candidates; 5996998 atoms still open"
+    assert made == []

@@ -24,7 +24,7 @@ from petrisynth.polysynth import (
     fundamental_cycle,
     synthesize_rzpt,
 )
-from petrisynth.regions import Region, build_witness, solves, support_from_signature
+from petrisynth.regions import Region, WitnessSet, check_witness, solves, support_from_signature
 from petrisynth.ts import SeparationAtom, TransitionSystem, enumerate_atoms, essa_atoms, ssa_atoms
 
 from conftest import random_ts
@@ -374,7 +374,7 @@ def assert_matches_reference(ts, tau, report, reference, problem):
     view = report.witness.coverage
     assert len(view) == len(coverage)
     assert list(view.items()) == list(coverage.items())
-    rebuilt = build_witness(ts, tau, regions, problem)[0].coverage
+    rebuilt = check_witness(ts, tau, WitnessSet(regions), problem).coverage
     assert dict(view) == rebuilt
     assert list(dict(view)) == list(rebuilt)
 
@@ -416,8 +416,8 @@ def test_deciders_match_greedy_reference(seed, bound):
     if synth.witness is not None:
         # the merged coverage is first fit over the ssp then the essp regions
         regions = synth.witness.regions
-        first_fit, missing = build_witness(ts, rzpt, regions, "solvability")
-        assert not missing
+        first_fit = check_witness(ts, rzpt, WitnessSet(regions), "solvability")
+        assert not first_fit.missing
         assert list(synth.witness.coverage.items()) == list(first_fit.coverage.items())
         assert_rejects_non_atoms(ts, synth.witness.coverage, True, True)
 

@@ -18,7 +18,7 @@ from petrisynth.reduction import (
     linear_joining,
     ppt_essp_witness,
 )
-from petrisynth.regions import Region, build_witness, solves, validate_region
+from petrisynth.regions import Region, WitnessSet, check_witness, solves, validate_region
 from petrisynth.ts import SeparationAtom, essa_atoms, grade, is_linear, validate
 
 
@@ -267,8 +267,8 @@ def test_ppt_essp_witness_is_first_fit(example_formula, bound):
     # the independent checker charges every atom, and to the same region
     union, witness = ppt_essp_witness(example_formula, frozenset({0, 4}), bound)
     tau = make_type("ppt", bound)
-    rebuilt, missing = build_witness(union.ts, tau, witness.regions, "essp")
-    assert missing == []
+    rebuilt = check_witness(union.ts, tau, WitnessSet(witness.regions), "essp")
+    assert rebuilt.missing == []
     assert list(rebuilt.coverage.items()) == list(witness.coverage.items())
 
 

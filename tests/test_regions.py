@@ -8,7 +8,7 @@ from petrisynth.nettypes import FAMILIES, Z_FAMILIES, Group, Pair, make_type
 from petrisynth.polysynth import build_spanning, decide_essa_rzpt, decide_ssa
 from petrisynth.regions import (
     Region,
-    build_witness,
+    WitnessSet,
     check_witness,
     solves,
     support_from_signature,
@@ -194,25 +194,24 @@ def test_solves_rejects_support_out_of_range():
     assert not solves(Region({"s": 2}, {"t": Pair(1, 0)}), pt2, atom)
 
 
-def test_build_witness_diamond(a1):
+def test_check_witness_diamond(a1):
     r1, r2 = diamond_regions(a1)
-    witness, missing = build_witness(a1, PPT1, [r1, r2], "solvability")
-    assert missing == []
+    report = check_witness(a1, PPT1, WitnessSet([r1, r2]), "solvability")
+    assert report.missing == []
     # every atom is charged to the first region that solves it
-    assert witness.coverage[SeparationAtom.ssa("s0", "s1")] == 0
-    assert witness.coverage[SeparationAtom.ssa("s0", "s2")] == 1
-    assert witness.coverage[SeparationAtom.essa("a", "s1")] == 0
-    report = check_witness(a1, PPT1, witness, "solvability")
+    assert report.coverage[SeparationAtom.ssa("s0", "s1")] == 0
+    assert report.coverage[SeparationAtom.ssa("s0", "s2")] == 1
+    assert report.coverage[SeparationAtom.essa("a", "s1")] == 0
     assert report.ok and not report.missing
 
-    partial, missing = build_witness(a1, PPT1, [r1], "ssp")
-    assert SeparationAtom.ssa("s0", "s2") in missing
-    assert not check_witness(a1, PPT1, partial, "ssp").ok
+    partial = check_witness(a1, PPT1, WitnessSet([r1]), "ssp")
+    assert SeparationAtom.ssa("s0", "s2") in partial.missing
+    assert not partial.ok
 
 
-def test_build_witness_rejects_unknown_problem(a1):
+def test_check_witness_rejects_unknown_problem(a1):
     with pytest.raises(ValueError, match="unknown problem: esp"):
-        build_witness(a1, PPT1, [], "esp")
+        check_witness(a1, PPT1, WitnessSet([]), "esp")
 
 
 def test_synthesized_net_diamond(a1):
