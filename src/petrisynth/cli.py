@@ -4,11 +4,16 @@ Exit codes: 0 for a yes answer or successful artifact, 1 for a justified
 no, 2 for errors and inconclusive runs (bad input, exhausted budgets,
 family/problem combinations with no decider).  `--json` swaps the human
 lines for a single JSON object on stdout; warnings still go to stderr.
+The rules applied come from the package: `check` refuses the families
+`polysynth.POLYNOMIAL` does not list, and `reduce` joins the gadget union
+with `reduction.join_union`.  The parser is built once per process, on
+the first `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,8 +37,7 @@ from .reduction import (
     alpha_witness_region,
     brute_model,
     build_union,
-    joining,
-    linear_joining,
+    join_union,
 )
 from .regions import Region
 from .ts import PROBLEMS, deterministic_isomorphism
@@ -41,30 +45,22 @@ from .ts import PROBLEMS, deterministic_isomorphism
 BUDGET_ENV = "PETRISYNTH_BUDGET"
 
 
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
+def _positive(name: str, raw) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    return _positive(BUDGET_ENV, value)
-
-
-def _positive(name: str, value: int) -> int:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 
 
-def _oracle_budget(flag: Optional[int] = None) -> OracleBudget:
+def _budget(flag: Optional[int]) -> OracleBudget:
+    """The --budget flag, else the PETRISYNTH_BUDGET variable, else the default."""
     if flag is not None:
         return OracleBudget(_positive("--budget", flag))
-    from_env = _env_budget()
-    if from_env is not None:
-        return OracleBudget(from_env)
-    return OracleBudget()
+    raw = os.environ.get(BUDGET_ENV)
+    return OracleBudget() if raw is None else OracleBudget(_positive(BUDGET_ENV, raw))
 
 
 class _Output:
@@ -100,15 +96,34 @@ def _answer_fields(answer: Optional[bool], failing) -> dict:
     }
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "check")
+def _question(args: argparse.Namespace, out: _Output):
+    """The fields check and oracle report, and the TS and type they decide."""
     out.report.update(
         {"family": args.family, "bound": args.b, "problem": args.problem,
          "input": args.input}
     )
-    ts = _read_ts(args.input)
-    tau = make_type(args.family, args.b)
-    if args.family in ("pt", "ppt"):
+    return _read_ts(args.input), make_type(args.family, args.b)
+
+
+def _oracle(args: argparse.Namespace, ts, tau):
+    """The exhaustive decision; main reports an exhausted budget."""
+    return oracle_decide(ts, tau, args.problem, _budget(args.budget))
+
+
+def _verdict(out: _Output, args: argparse.Namespace, answer: bool, failing,
+             suffix: str = "", **fields) -> int:
+    verdict = "yes" if answer else "no"
+    detail = f" (unsolvable: {failing})" if failing is not None else ""
+    out.say(
+        f"{args.problem} over {args.family} at b={args.b}: {verdict}{detail}{suffix}",
+        **fields, **_answer_fields(answer, failing),
+    )
+    return out.flush(0 if answer else 1)
+
+
+def _cmd_check(args: argparse.Namespace, out: _Output) -> int:
+    ts, tau = _question(args, out)
+    if args.family not in POLYNOMIAL:
         out.say(
             f"no polynomial decider for {args.problem} over {args.family}; "
             "use the oracle subcommand for an exhaustive answer",
@@ -118,30 +133,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.problem in POLYNOMIAL[args.family]:
         # the decision synthesize_rzpt makes, so both name the same failing atom
         rep = decide(ts, tau, args.problem)
-        answer, failing, method = rep.holds, rep.failing, "polynomial"
-    else:
-        warnings.warn(
-            f"{args.problem} over {args.family} has no polynomial decider; "
-            "falling back to the exhaustive oracle"
-        )
-        try:
-            rep = oracle_decide(ts, tau, args.problem, _oracle_budget())
-        except BudgetExceeded as exc:
-            out.say(f"inconclusive: {exc}", answer=None, failing=None,
-                    method="oracle", checked=exc.checked)
-            return out.flush(2)
-        answer, failing, method = rep.answer, rep.failing, "oracle"
-    verdict = "yes" if answer else "no"
-    detail = f" (unsolvable: {failing})" if failing is not None else ""
-    out.say(
-        f"{args.problem} over {args.family} at b={args.b}: {verdict}{detail}",
-        method=method, **_answer_fields(answer, failing),
+        return _verdict(out, args, rep.holds, rep.failing, method="polynomial")
+    warnings.warn(
+        f"{args.problem} over {args.family} has no polynomial decider; "
+        "falling back to the exhaustive oracle"
     )
-    return out.flush(0 if answer else 1)
+    out.report["method"] = "oracle"  # an inconclusive run reports it too
+    rep = _oracle(args, ts, tau)
+    return _verdict(out, args, rep.answer, rep.failing)
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "synthesize")
+def _cmd_oracle(args: argparse.Namespace, out: _Output) -> int:
+    rep = _oracle(args, *_question(args, out))
+    return _verdict(out, args, rep.answer, rep.failing,
+                    f" [{rep.checked} candidates]", checked=rep.checked)
+
+
+def _cmd_synthesize(args: argparse.Namespace, out: _Output) -> int:
     out.report.update({"bound": args.b, "input": args.input})
     cap = _positive("--cap", args.cap)
     ts = _read_ts(args.input)
@@ -163,8 +171,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return out.flush(0)
 
 
-def _cmd_reachability(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "reachability")
+def _cmd_reachability(args: argparse.Namespace, out: _Output) -> int:
     out.report.update({"input": args.input})
     cap = _positive("--cap", args.cap)
     net = parse_net(Path(args.input).read_text(encoding="utf-8"))
@@ -184,8 +191,7 @@ def _cmd_reachability(args: argparse.Namespace) -> int:
     return out.flush(0)
 
 
-def _cmd_iso(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "iso")
+def _cmd_iso(args: argparse.Namespace, out: _Output) -> int:
     out.report.update({"a": args.a, "b": args.b})
     left = _read_ts(args.a)
     right = _read_ts(args.b)
@@ -197,30 +203,6 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     for src in left.states:
         out.lines.append(f"  {src} -> {mapping[src]}")
     return out.flush(0)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "oracle")
-    out.report.update(
-        {"family": args.family, "bound": args.b, "problem": args.problem,
-         "input": args.input}
-    )
-    ts = _read_ts(args.input)
-    tau = make_type(args.family, args.b)
-    try:
-        rep = oracle_decide(ts, tau, args.problem, _oracle_budget(args.budget))
-    except BudgetExceeded as exc:
-        out.say(f"inconclusive: {exc}", answer=None, failing=None,
-                checked=exc.checked)
-        return out.flush(2)
-    verdict = "yes" if rep.answer else "no"
-    detail = f" (unsolvable: {rep.failing})" if rep.failing is not None else ""
-    out.say(
-        f"{args.problem} over {args.family} at b={args.b}: {verdict}{detail} "
-        f"[{rep.checked} candidates]",
-        checked=rep.checked, **_answer_fields(rep.answer, rep.failing),
-    )
-    return out.flush(0 if rep.answer else 1)
 
 
 def _witness_text(joined_name: str, atom, regions: list[Region]) -> str:
@@ -235,16 +217,16 @@ def _witness_text(joined_name: str, atom, regions: list[Region]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    out = _Output(args.json, "reduce")
+def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     out.report.update(
         {"variant": args.variant, "bound": args.b, "input": args.input}
     )
     phi = parse_formula(Path(args.input).read_text(encoding="utf-8"))
     union = build_union(phi, args.variant, args.b)
-    joined = (
-        joining(union) if args.variant == "z-essp" else linear_joining(union)
-    )
+    # the model and its region (or the brute-force limit) before any write
+    model = brute_model(phi) if args.emit_witness else None
+    aw = None if model is None else alpha_witness_region(phi, model, args.variant, args.b)
+    joined = join_union(union) if aw is None else aw.joined
     target = Path(args.output) if args.output else Path(args.input).with_suffix(".ts")
     target.write_text(serialize_ts(joined), encoding="utf-8")
     out.say(
@@ -254,11 +236,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         events=len(joined.events), atom=str(union.alpha), answer=True,
     )
     witness_path = None
-    model = None
     if args.emit_witness:
-        model = brute_model(phi)
         witness_path = Path(str(target) + ".witness")
-        if model is None:
+        if aw is None:
             witness_path.write_text(
                 "# formula has no one-in-three model; "
                 "the distinguished atom is unsolvable\n",
@@ -266,7 +246,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             )
             out.say(f"no model; wrote stub {witness_path}")
         else:
-            aw = alpha_witness_region(phi, model, args.variant, args.b)
             witness_path.write_text(
                 _witness_text(joined.name, aw.atom, [aw.region]),
                 encoding="utf-8",
@@ -281,6 +260,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return out.flush(0)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petrisynth",
@@ -289,11 +269,15 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="JSON report on stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    check = sub.add_parser("check", help="decide a separation problem")
-    check.add_argument("--family", required=True, choices=FAMILIES)
-    check.add_argument("--b", required=True, type=int)
-    check.add_argument("--problem", required=True, choices=PROBLEMS)
-    check.add_argument("input")
+    # check and oracle decide the same question; only oracle takes --budget
+    decision = argparse.ArgumentParser(add_help=False)
+    decision.add_argument("--family", required=True, choices=FAMILIES)
+    decision.add_argument("--b", required=True, type=int)
+    decision.add_argument("--problem", required=True, choices=PROBLEMS)
+    decision.add_argument("input")
+    decision.set_defaults(budget=None)
+
+    check = sub.add_parser("check", parents=[decision], help="decide a separation problem")
     check.set_defaults(handler=_cmd_check)
 
     synth = sub.add_parser("synthesize", help="rzpt net synthesis")
@@ -314,12 +298,8 @@ def _parser() -> argparse.ArgumentParser:
     iso.add_argument("b")
     iso.set_defaults(handler=_cmd_iso)
 
-    oracle = sub.add_parser("oracle", help="exhaustive decision")
-    oracle.add_argument("--family", required=True, choices=FAMILIES)
-    oracle.add_argument("--b", required=True, type=int)
-    oracle.add_argument("--problem", required=True, choices=PROBLEMS)
+    oracle = sub.add_parser("oracle", parents=[decision], help="exhaustive decision")
     oracle.add_argument("--budget", type=int)
-    oracle.add_argument("input")
     oracle.set_defaults(handler=_cmd_oracle)
 
     reduce_ = sub.add_parser("reduce", help="hardness instance generation")
@@ -334,8 +314,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    out = _Output(args.json, args.subcommand)
     try:
-        return args.handler(args)
+        return args.handler(args, out)
+    except BudgetExceeded as exc:
+        out.say(f"inconclusive: {exc}", answer=None, failing=None,
+                checked=exc.checked)
+        return out.flush(2)
     except (ValueError, CapExceeded, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -146,8 +146,9 @@ def parse_net(text: str) -> PetriNet:
             if family not in FAMILIES:
                 raise ParseError(number, f"unknown family: {family}")
         elif directive == ".bound":
+            raw = _one_arg(number, tokens)
             try:
-                bound = int(_one_arg(number, tokens))
+                bound = int(raw)
             except ValueError:
                 raise ParseError(number, "bound must be an integer") from None
         elif directive == ".place":
@@ -224,8 +225,9 @@ def parse_formula(text: str) -> Cm1in3Formula:
     """Formula document: .cnf3 with the clause count, then .clause triples."""
     lines = _lines(text)
     number, tokens = _expect_header(lines, ".cnf3")
+    raw = _one_arg(number, tokens)
     try:
-        count = int(_one_arg(number, tokens))
+        count = int(raw)
     except ValueError:
         raise ParseError(number, "clause count must be an integer") from None
     clauses = []

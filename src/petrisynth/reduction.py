@@ -325,6 +325,11 @@ def joining(union: GadgetUnion) -> TransitionSystem:
     )
 
 
+def join_union(union: GadgetUnion) -> TransitionSystem:
+    """The variant's joined TS: the backbone joining for z-essp, else linear."""
+    return joining(union) if union.variant == "z-essp" else linear_joining(union)
+
+
 VARIANT_FAMILY = {
     "ppt-essp": "ppt",
     "pt-essp": "pt",
@@ -423,7 +428,7 @@ def alpha_witness_region(
     union_region = _propagate(union, tau, inits, overrides)
     if not solves(union_region, tau, union.alpha):
         raise ValueError(f"alpha template does not solve {union.alpha}")
-    joined = joining(union) if variant == "z-essp" else linear_joining(union)
+    joined = join_union(union)
     region = _extend_to_joined(union, joined, union_region)
     check = validate_region(joined, tau, region)
     if not check.ok:

@@ -305,6 +305,31 @@ def test_reduce_unsat_writes_stub(tmp_path, capsys):
     assert "no one-in-three model" in stub
 
 
+def test_reduce_past_the_brute_force_limit_writes_nothing(tmp_path, capsys):
+    # nine copies of the cubic formula on disjoint variables: 27 clauses
+    big = Cm1in3Formula(tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(9) for _ in range(3)))
+    source = tmp_path / "big.cnf3"
+    source.write_text(serialize_formula(big))
+    assert main(["reduce", "--variant", "ssp", "--b", "1", "--emit-witness", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: formula too large for brute force: m = 27\n"
+    assert captured.out == ""
+    assert not (tmp_path / "big.ts").exists()
+    assert not (tmp_path / "big.ts.witness").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(a2_file, capsys):
+    assert cli._parser() is cli._parser()
+    assert main(["--json", "check", "--family", "zppt", "--b", "2", "--problem", "ssp",
+                 str(a2_file)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["command"], report["answer"], report["method"]) == ("check", True, "polynomial")
+    assert main(["oracle", "--family", "pt", "--b", "1", "--problem", "ssp", str(a2_file)]) == 1
+    assert capsys.readouterr().out == (
+        "ssp over pt at b=1: no (unsolvable: ssa(s0,s1)) [8 candidates]\n"
+    )
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.ts"
     bad.write_text(".ts x\n.oops\n")

@@ -120,6 +120,10 @@ def test_parse_net_errors():
         parse_net(".net n\n.family petri\n")
     with pytest.raises(ParseError, match="line 3: bound must be an integer"):
         parse_net(".net n\n.family ppt\n.bound two\n")
+    with pytest.raises(ParseError, match=r"line 3: \.bound takes one argument"):
+        parse_net(".net n\n.family ppt\n.bound 2 3\n")
+    with pytest.raises(ParseError, match=r"line 3: \.bound takes one argument"):
+        parse_net(".net n\n.family ppt\n.bound\n")
     with pytest.raises(ParseError, match="line 2: missing .family"):
         parse_net(".net n\n.bound 1\n")
     with pytest.raises(ParseError, match="line 2: missing .bound"):
@@ -153,6 +157,10 @@ def test_formula_round_trip(example_formula):
 def test_parse_formula_errors():
     with pytest.raises(ParseError, match="line 1: clause count must be an integer"):
         parse_formula(".cnf3 six\n")
+    with pytest.raises(ParseError, match=r"line 1: \.cnf3 takes one argument"):
+        parse_formula(".cnf3 1 2\n")
+    with pytest.raises(ParseError, match=r"line 1: \.cnf3 takes one argument"):
+        parse_formula(".cnf3\n")
     with pytest.raises(ParseError, match="line 2: unknown directive: .c"):
         parse_formula(".cnf3 1\n.c 0 1 2\n")
     with pytest.raises(ParseError, match=r"line 2: \.clause takes three variable indices"):
