@@ -254,7 +254,7 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     out.report.update(
         {
             "witness": str(witness_path) if witness_path else None,
-            "model": sorted(model) if model else None,
+            "model": None if model is None else sorted(model),
         }
     )
     return out.flush(0)

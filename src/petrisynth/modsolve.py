@@ -75,20 +75,33 @@ def solve(system: ModSystem) -> Optional[tuple[int, ...]]:
 
 
 def first_solvable(
-    modulus: int, cols: int, rows: Rows, tails: Rows, probes: Iterable[tuple[Any, Sequence[int]]]
+    modulus: int,
+    cols: int,
+    rows: Rows,
+    tails: Rows,
+    probes: Iterable[tuple[Any, Sequence[int]]],
+    reduced: Rows = (),
 ) -> Optional[tuple[Any, tuple[int, ...]]]:
-    """The first (key, x) of probes (key, r) with rows.x = tails.r solvable.
+    """The first (key, x) of probes (key, r) with A x = E r solvable, where
+    [A | E] = [reduced | 0; rows | tails] and reduced is a homogeneous
+    block in Howell form of width cols, such as a reduce_rows result.
 
-    One reduction of [A | E] = [rows | tails] serves every probe.  By
-    Howell's span property the E-parts c of its basis rows with a zero
-    A-part span {yE : yA = 0}, and Z_modulus is self-injective, so
-    A x = E r is solvable iff c.r = 0 for every such c.  x, free variables
-    fixed to 0, is back-substituted over the same basis's rows with a pivot
-    in the A-part, each with right-hand side (its E-part).r: their row
-    operations depend only on A, so a reduction of [A | E r] reaches them.
+    One reduction of [A | E], continued from reduced, serves every probe.  By Howell's span property the E-parts c
+    of its basis rows with a zero A-part span {yE : yA = 0}, and
+    Z_modulus is self-injective, so A x = E r is solvable iff c.r = 0 for
+    every such c.  x, free variables fixed to 0, is back-substituted over
+    the same basis's rows with a pivot in the A-part, each with right-hand
+    side (its E-part).r: their row operations depend only on A, so a
+    reduction of [A | E r] reaches them.  Taking, from the last column to
+    the first, the least value in [0, modulus/pivot gcd) makes x the
+    colex-least solution, so the answer depends only on the row span of
+    [A | E], never on the order or repetition of its rows.
     """
     width = cols + max(map(len, tails), default=0)
-    basis = reduce_rows(modulus, [[*a, *e] for a, e in zip(rows, tails)], width)
+    pad = (0,) * (width - cols)
+    basis = reduce_rows(
+        modulus, [[*a, *e] for a, e in zip(rows, tails)], width, [(*row, *pad) for row in reduced]
+    )
     kept = [row[cols:] for row in basis if not any(row[:cols])]
     pivots = [(_leading(row, cols), row) for row in reversed(basis) if any(row[:cols])]
     for key, r in probes:
@@ -110,23 +123,30 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def reduce_rows(modulus: int, rows: Rows, cols: int) -> tuple[tuple[int, ...], ...]:
-    """Basis rows spanning the same Z_modulus row module as the input.
+def reduce_rows(modulus: int, rows: Rows, cols: int, reduced: Rows = ()) -> tuple[tuple[int, ...], ...]:
+    """Basis rows spanning the Z_modulus row module of rows and reduced.
 
-    The basis is in Howell form: for every k, the basis rows that are zero
-    in the first k columns span every combination of the input rows that
-    is.  Entries of the input may lie outside 0..modulus-1.
+    reduced is a basis already in Howell form, of width cols, such as an
+    earlier reduce_rows result: the reduction starts from it and pushes
+    only rows.  The basis is in Howell form: for every k, the basis rows
+    that are zero in the first k columns span every combination of the
+    input rows that is.  Entries of rows may lie outside 0..modulus-1.
     """
-    basis = _howell(modulus, [[v % modulus for v in r] for r in rows], cols)
+    start = {_leading(row, cols): row for row in reduced}
+    basis = _howell(modulus, [[v % modulus for v in r] for r in rows], cols, start)
     return tuple(tuple(basis[j]) for j in sorted(basis))
 
 
-def _howell(m: int, pending: list[Sequence[int]], width: int) -> dict[int, Sequence[int]]:
+def _howell(
+    m: int, pending: list[Sequence[int]], width: int, basis: dict[int, Sequence[int]]
+) -> dict[int, Sequence[int]]:
     """Echelon basis keyed by pivot column, closed under annihilators.
 
-    Takes rows already reduced into 0..m-1 and consumes the list, not them.
+    The state is (basis, pending rows), and every reduction ends with no
+    pending rows, so a Howell basis is a state to start from with new
+    rows pending.  Takes rows already reduced into 0..m-1, consumes the
+    list and updates the dict, never the rows.
     """
-    basis: dict[int, Sequence[int]] = {}
     while pending:
         row = pending.pop(0)
         col = _leading(row, width)

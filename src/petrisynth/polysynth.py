@@ -40,31 +40,58 @@ Rows = tuple[tuple[int, ...], ...]
 
 @dataclass
 class SpanningData:
-    """Spanning tree of a TS plus path count vectors modulo bound+1.
+    """Spanning tree of a TS in state positions, plus path count vectors
+    modulo bound+1.
 
-    parent maps every non-initial state to its tree arc (src, event, dst);
-    chords are the non-tree arcs in input arc order; psi[s] counts, per
-    event in declared order, the occurrences along the tree path from the
-    initial state to s.  _essa_rows keeps, per event and from its first
-    use, the event's first source and its essa systems' reduced shared rows.
+    tree_psi[i] counts, per event position, the occurrences along the tree
+    path from the initial state to the state at position i; tree_arc[i] is
+    the (source position, event position) of that state's tree arc, None
+    for the initial state.  Every other arc is a chord.  psi, parent and
+    chords are the same data by name, built on first use: parent maps every
+    non-initial state to its tree arc (src, event, dst), and chords are the
+    non-tree arcs in input arc order.  _essa_rows keeps, per event and from
+    its first use, the position of the event's first source and its essa
+    systems' reduced shared rows.
     """
 
     ts: TransitionSystem
     bound: int
-    parent: dict[str, tuple[str, str, str]]
-    chords: tuple[tuple[str, str, str], ...]
-    psi: dict[str, tuple[int, ...]]
-    _essa_rows: dict[str, tuple[str, tuple]] = field(default_factory=dict, init=False, repr=False)
+    tree_psi: list[tuple[int, ...]]
+    tree_arc: list[Optional[tuple[int, int]]]
+    _essa_rows: dict[str, tuple[int, Rows]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """The nonzero fundamental cycle rows, in chord order."""
-        return tuple(
-            row for chord in self.chords if any(row := fundamental_cycle(self, chord))
-        )
+    def psi(self) -> dict[str, tuple[int, ...]]:
+        return dict(zip(self.ts.states, self.tree_psi))
 
     @cached_property
-    def reduced_cycles(self) -> tuple[tuple[int, ...], ...]:
+    def parent(self) -> dict[str, tuple[str, str, str]]:
+        states, events = self.ts.states, self.ts.events
+        return {
+            states[dst]: (states[arc[0]], events[arc[1]], states[dst])
+            for dst, arc in enumerate(self.tree_arc)
+            if arc is not None
+        }
+
+    @cached_property
+    def chords(self) -> tuple[tuple[str, str, str], ...]:
+        state, event, tree = self.ts.index.state, self.ts.index.event, self.tree_arc
+        return tuple(arc for arc in self.ts.arcs() if tree[state[arc[2]]] != (state[arc[0]], event[arc[1]]))
+
+    @cached_property
+    def cycles(self) -> Rows:
+        """The distinct nonzero fundamental cycle rows, in the order their
+        first chords appear in the index's out-arcs."""
+        tree, rows = self.tree_arc, {}
+        for src, arcs in enumerate(self.ts.index.out):
+            for event, dst in arcs:
+                if tree[dst] != (src, event):
+                    rows[_cycle_row(self, src, event, dst)] = None
+        rows.pop((0,) * len(self.ts.events), None)
+        return tuple(rows)
+
+    @cached_property
+    def reduced_cycles(self) -> Rows:
         """The base system's rows in reduced form, shared by every ssa atom."""
         return modsolve.reduce_rows(self.bound + 1, self.cycles, len(self.ts.events))
 
@@ -101,30 +128,32 @@ def build_spanning(ts: TransitionSystem, bound: int, order: str = "bfs") -> Span
     if order not in ("bfs", "dfs"):
         raise ValueError(f"unknown traversal order: {order}")
     modulus = bound + 1
-    out = ts.index.out
-    states, events = ts.states, ts.events
-    parent: dict[str, tuple[str, str, str]] = {}
-    psi = {ts.initial: (0,) * len(events)}
-    frontier = deque([ts.index.initial])
-    tree: set[tuple[str, str, str]] = set()
+    index = ts.index
+    psi: list[Optional[tuple[int, ...]]] = [None] * len(ts.states)
+    tree: list[Optional[tuple[int, int]]] = [None] * len(ts.states)
+    psi[index.initial] = (0,) * len(ts.events)
+    frontier = deque([index.initial])
     while frontier:
-        state = frontier.popleft() if order == "bfs" else frontier.pop()
-        src = states[state]
-        for event, dst in out[state]:
-            name = states[dst]
-            if name in psi:
-                continue
-            arc = (src, events[event], name)
-            parent[name] = arc
-            tree.add(arc)
-            vec = list(psi[src])
-            vec[event] = (vec[event] + 1) % modulus
-            psi[name] = tuple(vec)
-            frontier.append(dst)
-    if len(psi) != len(ts.states):
+        src = frontier.popleft() if order == "bfs" else frontier.pop()
+        for event, dst in index.out[src]:
+            if psi[dst] is None:
+                tree[dst] = (src, event)
+                vec = list(psi[src])
+                vec[event] = (vec[event] + 1) % modulus
+                psi[dst] = tuple(vec)
+                frontier.append(dst)
+    if None in psi:
         raise ValueError("TS has unreachable states")
-    chords = tuple(arc for arc in ts.arcs() if arc not in tree)
-    return SpanningData(ts, bound, parent, chords, psi)
+    return SpanningData(ts, bound, psi, tree)
+
+
+def _cycle_row(sd: SpanningData, src: int, event: int, dst: int) -> tuple[int, ...]:
+    """psi(src) - psi(dst) + unit(event) mod b+1, in positions: the count
+    vector of the cycle that the arc src --event--> dst closes."""
+    modulus = sd.bound + 1
+    vec = [(a - b_) % modulus for a, b_ in zip(sd.tree_psi[src], sd.tree_psi[dst])]
+    vec[event] = (vec[event] + 1) % modulus
+    return tuple(vec)
 
 
 def fundamental_cycle(sd: SpanningData, chord: tuple[str, str, str]) -> tuple[int, ...]:
@@ -134,15 +163,10 @@ def fundamental_cycle(sd: SpanningData, chord: tuple[str, str, str]) -> tuple[in
     and the tree path from s' backwards: psi(s) - psi(s') + unit(e).
     """
     src, event, dst = chord
-    if sd.ts.delta(src, event) != dst or sd.parent.get(dst) == (src, event, dst):
+    index = sd.ts.index
+    if sd.ts.delta(src, event) != dst or sd.tree_arc[index.state[dst]] == (index.state[src], index.event[event]):
         raise ValueError(f"not a chord: {chord}")
-    modulus = sd.bound + 1
-    unit = sd.ts.index.event[event]
-    vec = [
-        (a - b_) % modulus for a, b_ in zip(sd.psi[src], sd.psi[dst])
-    ]
-    vec[unit] = (vec[unit] + 1) % modulus
-    return tuple(vec)
+    return _cycle_row(sd, index.state[src], index.event[event], index.state[dst])
 
 
 def _difference(u: tuple[int, ...], v: tuple[int, ...], modulus: int) -> tuple[int, ...]:
@@ -160,7 +184,7 @@ def _checked_spanning(ts: TransitionSystem, bound: int, sd: Optional[SpanningDat
 def base_system(sd: SpanningData) -> modsolve.ModSystem:
     """Homogeneous system cutting out the abstract regions of the TS.
 
-    One row per chord whose fundamental cycle is nonzero; a group value
+    One row per distinct nonzero fundamental cycle row; a group value
     assignment abs satisfies it iff (sup_init, abs) is an abstract region
     for every sup_init.
     """
@@ -216,8 +240,9 @@ def decide_ssa(
 
     Solves base system + (psi(s') - psi(s)).abs = q for q = 1..b; the first
     solvable q yields the region with sup_init = 0.  One reduction of
-    [reduced cycles | 0; psi(s') - psi(s) | 1] (modsolve.first_solvable)
-    tests every q and gives the first passing q's solution.
+    [reduced cycles | 0; psi(s') - psi(s) | 1] (modsolve.first_solvable),
+    continued from the reduced cycle rows with the one new row, tests
+    every q and gives the first passing q's solution.
     """
     if "ssp" not in POLYNOMIAL.get(tau.family, ()):
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
@@ -226,10 +251,10 @@ def decide_ssa(
     _check_atom(ts, atom)
     sd = _checked_spanning(ts, tau.bound, sd)
     modulus = tau.bound + 1
-    rows = sd.reduced_cycles + (_difference(sd.psi[atom.right], sd.psi[atom.left], modulus),)
-    tails = ((0,),) * len(sd.reduced_cycles) + ((1,),)
+    psi, state = sd.tree_psi, ts.index.state
+    row = _difference(psi[state[atom.right]], psi[state[atom.left]], modulus)
     probes = ((q, (q,)) for q in range(1, modulus))
-    found = modsolve.first_solvable(modulus, len(ts.events), rows, tails, probes)
+    found = modsolve.first_solvable(modulus, len(ts.events), (row,), ((1,),), probes, sd.reduced_cycles)
     if found is None:
         return None
     return _derived_region(sd, tau, atom, 0, found[1])
@@ -340,38 +365,45 @@ def _cover(classes: list[list[int]]) -> Optional[tuple[int, int]]:
     return min(((c[0], c[1]) for c in classes), default=None)
 
 
-def _sources(ts: TransitionSystem, event: str) -> list[str]:
-    sources = [s for s in ts.states if ts.has_arc(s, event)]
+def _sources(ts: TransitionSystem, event: str) -> list[int]:
+    """Positions of the states where the event occurs."""
+    has_arc = ts.has_arc
+    sources = [i for i, s in enumerate(ts.states) if has_arc(s, event)]
     if not sources:
         raise ValueError(f"event never occurs: {event}")
     return sources
 
 
-def _essa_layout(sd: SpanningData, atom: SeparationAtom) -> tuple[Rows, Rows]:
-    """The rows A and right-hand-side columns E of the rzpt essa systems
-    of atom = (e, s): probe (m, n, sup_init, q) solves A x = E r with
-    r = (n-m, m-sup_init, q).
+def _essa_layout(sd: SpanningData, atom: SeparationAtom) -> tuple[Rows, Rows, Rows]:
+    """The rzpt essa systems of atom = (e, s) as (shared, rows, tails):
+    probe (m, n, sup_init, q) solves A x = E r with r = (n-m, m-sup_init, q),
+    where A is the shared block above rows, and E is zero beside the shared
+    block and tails beside rows.
 
-    A is laid out once per atom, from a shared block reduced once per
-    event, whose E-rows are zero; the pin, source and separation rows get
-    the unit vectors.  See essa_system for the row order.
+    The shared block is reduced once per event, from its distinct nonzero
+    rows; rows are the pin, source and separation rows, and tails their
+    unit vectors.  See essa_system for the row order.
     """
     if atom.kind != "essa":
         raise ValueError(f"not an essa atom: {atom}")
     _check_atom(sd.ts, atom)
-    modulus = sd.bound + 1
-    event, state = atom.left, atom.right
+    modulus, psi = sd.bound + 1, sd.tree_psi
+    event, state = atom.left, sd.ts.index.state[atom.right]
     if event not in sd._essa_rows:
         first, *others = _sources(sd.ts, event)
-        rows = sd.cycles + tuple(_difference(sd.psi[first], sd.psi[o], modulus) for o in others)
-        sd._essa_rows[event] = first, modsolve.reduce_rows(modulus, rows, len(sd.ts.events))
-    first, shared_rows = sd._essa_rows[event]
-    rows = shared_rows + (
+        # distinct source vectors give distinct rows, and one equal to the
+        # first source's a zero row
+        vectors = dict.fromkeys(psi[o] for o in others)
+        vectors.pop(psi[first], None)
+        rows = dict.fromkeys((*sd.cycles, *(_difference(psi[first], v, modulus) for v in vectors)))
+        sd._essa_rows[event] = first, modsolve.reduce_rows(modulus, tuple(rows), len(sd.ts.events))
+    first, shared = sd._essa_rows[event]
+    rows = (
         tuple(int(e == event) for e in sd.ts.events),
-        sd.psi[first],
-        _difference(sd.psi[first], sd.psi[state], modulus),
+        psi[first],
+        _difference(psi[first], psi[state], modulus),
     )
-    return rows, ((0, 0, 0),) * len(shared_rows) + ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return shared, rows, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def essa_system(
@@ -387,16 +419,16 @@ def essa_system(
     """The rzpt event/state separation system for one parameter choice.
 
     Unknowns: one group value per event.  Rows, in order: the Howell-reduced
-    block of the fundamental cycle rows and the equal-support rows
-    (psi(s1) - psi(si)).abs = 0 for the later sources si of the event; the
+    block of the distinct nonzero fundamental cycle rows and equal-support
+    rows (psi(s1) - psi(si)).abs = 0 for the later sources si of the event; the
     pin abs(e) = n - m; the source support row psi(s1).abs = m - sup_init;
     the separation row (psi(s1) - psi(s)).abs = q.  decide_essa_rzpt solves
     exactly these systems.
     """
-    rows, tails = _essa_layout(_checked_spanning(ts, bound, sd), atom)
+    shared, rows, tails = _essa_layout(_checked_spanning(ts, bound, sd), atom)
     r = (n - m, m - sup_init, q)
-    rhs = tuple(sum(c * v for c, v in zip(e, r)) for e in tails)
-    return modsolve.ModSystem(bound + 1, len(ts.events), rows, rhs)
+    rhs = (0,) * len(shared) + tuple(sum(c * v for c, v in zip(e, r)) for e in tails)
+    return modsolve.ModSystem(bound + 1, len(ts.events), shared + rows, rhs)
 
 
 def decide_essa_rzpt(
@@ -414,7 +446,8 @@ def decide_essa_rzpt(
     b+1, so the pairs (0,1)..(0,b), (1,1) alone meet each distinct system
     once, where that order first meets it: b(b+1)^2 probes, not
     b(b+1)^3 - b(b+1), for an unsolvable atom.  The atom costs one
-    reduction (modsolve.first_solvable), which turns every probe into dot
+    reduction (modsolve.first_solvable), continued from the event's shared
+    block with the three new rows, which turns every probe into dot
     products and gives the first passing probe's solution.
     """
     sd = _checked_spanning(ts, bound, sd)
@@ -426,7 +459,8 @@ def decide_essa_rzpt(
         ((m, n, sup_init), (n - m, m - sup_init, q))
         for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1))
     )
-    found = modsolve.first_solvable(bound + 1, len(ts.events), *_essa_layout(sd, atom), probes)
+    shared, rows, tails = _essa_layout(sd, atom)
+    found = modsolve.first_solvable(bound + 1, len(ts.events), rows, tails, probes, shared)
     if found is None:
         return None
     (m, n, sup_init), x = found

@@ -305,6 +305,20 @@ def test_reduce_unsat_writes_stub(tmp_path, capsys):
     assert "no one-in-three model" in stub
 
 
+def test_reduce_empty_formula_reports_empty_model(tmp_path, capsys):
+    # the empty formula's model is the empty set: a witness is written and
+    # the report names that model, not None
+    source = tmp_path / "zero.cnf3"
+    source.write_text(".cnf3 0\n")
+    code = main(["--json", "reduce", "--variant", "ssp", "--b", "1",
+                 "--emit-witness", str(source)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["model"] == []
+    assert report["witness"].endswith("zero.ts.witness")
+    assert ".region r0" in (tmp_path / "zero.ts.witness").read_text()
+
+
 def test_reduce_past_the_brute_force_limit_writes_nothing(tmp_path, capsys):
     # nine copies of the cubic formula on disjoint variables: 27 clauses
     big = Cm1in3Formula(tuple((3 * k, 3 * k + 1, 3 * k + 2) for k in range(9) for _ in range(3)))

@@ -156,3 +156,31 @@ def test_kept_rows_decide_solvability(modulus, seed, k, n, width):
         assert found == (None if x is None else ("r", x)), r
         if x is not None:
             assert verify(system, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    seed=st.integers(0, 10**9),
+    k=st.integers(0, 6),
+    n=st.integers(1, 4),
+    width=st.sampled_from([1, 3]),
+)
+def test_first_solvable_depends_only_on_the_row_span(modulus, seed, k, n, width):
+    # the first passing probe and its x are fixed by the row span of
+    # [A | E]: a homogeneous block with repeated rows beside new rows, the
+    # same rows deduplicated and shuffled, and the block's reduction
+    # continued with the new rows alone all give the same (key, x)
+    rng = random.Random(seed)
+    block = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k)]
+    block += [rng.choice(block) for _ in block]
+    rows = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    tails = [tuple(rng.randrange(modulus) for _ in range(width)) for _ in rows]
+    probes = [(i, tuple(rng.randrange(modulus) for _ in range(width))) for i in range(6)]
+    zero = (0,) * width
+    raw = first_solvable(modulus, n, block + rows, [zero] * len(block) + tails, probes)
+    pairs = list(dict.fromkeys([(row, zero) for row in block] + list(zip(rows, tails))))
+    rng.shuffle(pairs)
+    shuffled = first_solvable(modulus, n, [a for a, _ in pairs], [e for _, e in pairs], probes)
+    continued = first_solvable(modulus, n, rows, tails, probes, reduce_rows(modulus, block, n))
+    assert raw == shuffled == continued

@@ -36,6 +36,17 @@ def cycle_ts(n):
     return TransitionSystem(f"cyc{n}", states, ["a"], arcs, "s0")
 
 
+def torus_ts(k):
+    """k x k torus of two events: a steps the row, b the column."""
+    def name(i, j):
+        return f"s{i % k}_{j % k}"
+
+    states = [name(i, j) for i in range(k) for j in range(k)]
+    arcs = [(name(i, j), e, name(i + di, j + dj))
+            for i in range(k) for j in range(k) for e, di, dj in (("a", 1, 0), ("b", 0, 1))]
+    return TransitionSystem(f"torus{k}", states, ["a", "b"], arcs, name(0, 0))
+
+
 def test_build_spanning_demo8(demo8):
     sd = build_spanning(demo8, 2)
     assert sd.chords == (("4", "c", "2"), ("6", "c", "0"), ("7", "d", "4"))
@@ -90,7 +101,7 @@ def test_derived_region_self_check(demo8, monkeypatch):
     # a solution breaking demo8's cycle row (0, 2, 0, 1) mod 3 cannot
     # propagate along the arcs, so the derived region must not come back
     # the solver hands the first probe's key back with a wrong solution
-    def wrong(modulus, cols, rows, tails, probes):
+    def wrong(modulus, cols, rows, tails, probes, reduced):
         return next(iter(probes))[0], (0, 1, 0, 0)
 
     monkeypatch.setattr(modsolve, "first_solvable", wrong)
@@ -158,6 +169,24 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(modsolve, name, counting)
     return calls
+
+
+def test_torus_cycle_rows_are_distinct(monkeypatch):
+    # a 10 x 10 torus has 101 chords, 20 of them with a nonzero row, but
+    # over two events the rows mod b+1 take at most (b+1)^2 = 9 values:
+    # no call of reduce_rows gets more rows than that
+    ts = torus_ts(10)
+    rows = []
+    original = modsolve.reduce_rows
+
+    def counting(*args):
+        rows.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(modsolve, "reduce_rows", counting)
+    report = decide(ts, make_type("rzpt", 2), "ssp")
+    assert not report.holds
+    assert rows and max(rows) <= 9
 
 
 def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
@@ -537,24 +566,25 @@ def test_essp_scans_sources_once_per_event(monkeypatch):
 
 
 def test_synthesis_builds_one_spanning_tree(monkeypatch):
-    # ssp and essp share the tree, its cycle rows and their reductions
+    # ssp and essp share the tree, its cycle rows and their reductions:
+    # each chord's row is computed once
     ts = reachability_graph(group_heavy_net())
     trees, cycles = [], []
-    build, cycle = polysynth.build_spanning, polysynth.fundamental_cycle
+    build, cycle_row = polysynth.build_spanning, polysynth._cycle_row
 
     def counting_build(*args, **kwargs):
         trees.append(build(*args, **kwargs))
         return trees[-1]
 
-    def counting_cycle(sd, chord):
-        cycles.append(chord)
-        return cycle(sd, chord)
+    def counting_row(sd, src, event, dst):
+        cycles.append((sd.ts.states[src], sd.ts.events[event], sd.ts.states[dst]))
+        return cycle_row(sd, src, event, dst)
 
     monkeypatch.setattr(polysynth, "build_spanning", counting_build)
-    monkeypatch.setattr(polysynth, "fundamental_cycle", counting_cycle)
+    monkeypatch.setattr(polysynth, "_cycle_row", counting_row)
     report = synthesize_rzpt(ts, 2)
     assert report.net is not None
     # both kinds of atom were searched on that one tree
     assert any(isinstance(r.sig["t5"], Pair) for r in report.witness.regions)
     assert len(trees) == 1
-    assert cycles == list(trees[0].chords)
+    assert sorted(cycles) == sorted(trees[0].chords)
