@@ -225,7 +225,7 @@ def _cmd_reduce(args: argparse.Namespace, out: _Output) -> int:
     union = build_union(phi, args.variant, args.b)
     # the model and its region (or the brute-force limit) before any write
     model = brute_model(phi) if args.emit_witness else None
-    aw = None if model is None else alpha_witness_region(phi, model, args.variant, args.b)
+    aw = None if model is None else alpha_witness_region(phi, model, args.variant, args.b, union)
     joined = join_union(union) if aw is None else aw.joined
     target = Path(args.output) if args.output else Path(args.input).with_suffix(".ts")
     target.write_text(serialize_ts(joined), encoding="utf-8")

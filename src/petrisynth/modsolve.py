@@ -66,12 +66,13 @@ def verify(system: ModSystem, x: Sequence[int]) -> bool:
 def solve(system: ModSystem) -> Optional[tuple[int, ...]]:
     """One solution with free variables fixed to 0, or None.
 
-    The one-probe case of first_solvable: the rhs is E's single column
-    and the probe is (1,).
+    The one-block case of first_solvable: E is the rhs column, and q = 1
+    is the least candidate, so the system is solvable iff the least
+    passing q is 1.
     """
-    rhs = tuple((b,) for b in system.rhs)
-    found = first_solvable(system.modulus, system.cols, system.rows, rhs, ((None, (1,)),))
-    return None if found is None else found[1]
+    tails = tuple((b,) for b in system.rhs)
+    found = first_solvable(system.modulus, system.cols, system.rows, tails, (((None, ()),),))
+    return found[2] if found is not None and found[1] == 1 else None
 
 
 def first_solvable(
@@ -79,44 +80,123 @@ def first_solvable(
     cols: int,
     rows: Rows,
     tails: Rows,
-    probes: Iterable[tuple[Any, Sequence[int]]],
+    groups: Iterable[Iterable[tuple[Any, Sequence[int]]]],
     reduced: Rows = (),
-) -> Optional[tuple[Any, tuple[int, ...]]]:
-    """The first (key, x) of probes (key, r) with A x = E r solvable, where
-    [A | E] = [reduced | 0; rows | tails] and reduced is a homogeneous
-    block in Howell form of width cols, such as a reduce_rows result.
+) -> Optional[tuple[Any, int, tuple[int, ...]]]:
+    """The first block (key, fixed) of groups with A x = E r solvable for
+    some r = (*fixed, q), 0 < q < modulus, as (key, q, x) with the least
+    such q, or None.  [A | E] = [reduced | 0; rows | tails], and reduced
+    is a homogeneous block in Howell form of width cols, such as a
+    reduce_rows result.  The blocks of one group share all but the last
+    entry of fixed, and a group's blocks are drawn only while none passed
+    and the group is alive.
 
-    One reduction of [A | E], continued from reduced, serves every probe.  By Howell's span property the E-parts c
-    of its basis rows with a zero A-part span {yE : yA = 0}, and
-    Z_modulus is self-injective, so A x = E r is solvable iff c.r = 0 for
-    every such c.  x, free variables fixed to 0, is back-substituted over
-    the same basis's rows with a pivot in the A-part, each with right-hand
-    side (its E-part).r: their row operations depend only on A, so a
-    reduction of [A | E r] reaches them.  Taking, from the last column to
-    the first, the least value in [0, modulus/pivot gcd) makes x the
-    colex-least solution, so the answer depends only on the row span of
-    [A | E], never on the order or repetition of its rows.
+    One reduction of [A | E], continued from reduced, serves every block.
+    By Howell's span property the E-parts C of its basis rows with a zero
+    A-part span {yE : yA = 0}, and Z_modulus is self-injective, so
+    A x = E r is solvable iff c.r = 0 for every c in C.  Hence:
+
+    - no r with q != 0 passes iff the unit vector of q lies in the span of
+      C, which in Howell form means that C's last row is zero but for a
+      unit in the last column;
+    - a block's passing q are the solutions of one congruence u q = v per
+      row of C, a coset of a divisor of modulus (_least_q);
+    - a group passes iff the rows of C's span with a zero entry in the
+      column of fixed's last entry admit some q != 0 for the group's
+      shared entries, as the double annihilator property of Z_modulus
+      makes the group's r, projected away from that column, exactly the
+      vectors those rows annihilate.  They come from a Howell reduction of
+      C with that column first (_drop_column), built once a first block
+      has failed, so an atom decided by its first block pays nothing for
+      it.
+
+    x, free variables fixed to 0, is back-substituted over the basis's
+    rows with a pivot in the A-part, each with right-hand side (its
+    E-part).r: their row operations depend only on A, so a reduction of
+    [A | E r] reaches them.  Taking, from the last column to the first,
+    the least value in [0, modulus/pivot gcd) makes x the colex-least
+    solution, so the answer depends only on the row span of [A | E],
+    never on the order or repetition of its rows.
     """
     width = cols + max(map(len, tails), default=0)
     pad = (0,) * (width - cols)
     basis = reduce_rows(
         modulus, [[*a, *e] for a, e in zip(rows, tails)], width, [(*row, *pad) for row in reduced]
     )
-    kept = [row[cols:] for row in basis if not any(row[:cols])]
-    pivots = [(_leading(row, cols), row) for row in reversed(basis) if any(row[:cols])]
-    for key, r in probes:
-        if any(_dot(c, r) % modulus for c in kept):
-            continue
-        x = [0] * cols
-        for j, row in pivots:
-            acc = (_dot(row[cols:], r) - _dot(row[j + 1 : cols], x[j + 1 :])) % modulus
-            d = gcd(row[j], modulus)
-            if acc % d:
-                raise AssertionError("back-substitution hit an unsolvable pivot")
-            mm = modulus // d
-            x[j] = acc // d * pow(row[j] // d, -1, mm) % mm
-        return key, tuple(x)
+    # rows with a zero A-part have their pivots in E, so they end the basis
+    split = len(basis)
+    while split and not any(basis[split - 1][:cols]):
+        split -= 1
+    kept = [row[cols:] for row in basis[split:]]
+    if kept and gcd(kept[-1][-1], modulus) == 1 and not any(kept[-1][:-1]):
+        return None
+    projected = None
+    for group in groups:
+        tested = False
+        for key, fixed in group:
+            if projected is not None and not tested:
+                if _least_q(modulus, projected, fixed[:-1]) is None:
+                    break
+                tested = True
+            if (q := _least_q(modulus, kept, fixed)) is not None:
+                return key, q, _back_substitute(modulus, cols, basis[:split], (*fixed, q))
+            if projected is None and fixed:
+                projected = _drop_column(modulus, kept, len(fixed) - 1)
     return None
+
+
+def _least_q(modulus: int, rows: Rows, fixed: Sequence[int]) -> Optional[int]:
+    """The least q in 1..modulus-1 with c.(*fixed, q) = 0 for every row c,
+    or None.
+
+    Each row is a congruence u q = v whose solutions, if any, are a coset
+    of a divisor of modulus; the Chinese remainder theorem intersects them
+    into one such coset q = a (mod n), whose least nonzero member is a, or
+    n when a = 0.
+    """
+    a, n = 0, 1
+    for c in rows:
+        u, v = c[-1], -_dot(c, fixed) % modulus
+        d = gcd(u, modulus)
+        if v % d:
+            return None
+        step = modulus // d
+        t = v // d * pow(u // d, -1, step) % step
+        g = gcd(n, step)
+        if (t - a) % g:
+            return None
+        a += n * ((t - a) // g * pow(n // g, -1, step // g) % (step // g))
+        n = n // g * step
+    q = a or n
+    return q if q < modulus else None
+
+
+def _drop_column(modulus: int, rows: Rows, col: int) -> list[tuple[int, ...]]:
+    """Rows spanning the members of rows' span that are zero in column
+    col, with that column dropped: the Howell basis of rows with col moved
+    first, less the row with its pivot there."""
+    width = len(rows[0])
+    order = [col, *(j for j in range(width) if j != col)]
+    basis = _howell(modulus, [[row[j] for j in order] for row in rows], width, {})
+    return [tuple(row[1:]) for j, row in basis.items() if j]
+
+
+def _back_substitute(modulus: int, cols: int, pivots: Rows, r: Sequence[int]) -> tuple[int, ...]:
+    """The colex-least x of A x = E r over the Howell basis rows with a
+    pivot in the A-part, given that r passes."""
+    x, nonzero = [0] * cols, []
+    for row in reversed(pivots):
+        j = _leading(row, cols)
+        # x is 0 but at the entries set so far, all right of j
+        acc = (_dot(row[cols:], r) - sum(row[k] * v for k, v in nonzero)) % modulus
+        d = gcd(row[j], modulus)
+        if acc % d:
+            raise AssertionError("back-substitution hit an unsolvable pivot")
+        mm = modulus // d
+        x[j] = acc // d * pow(row[j] // d, -1, mm) % mm
+        if x[j]:
+            nonzero.append((j, x[j]))
+    return tuple(x)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

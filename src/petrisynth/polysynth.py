@@ -13,7 +13,6 @@ all sources of its event to one support value -- again linear.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -212,10 +211,11 @@ def _derived_region(
     Every event gets the group of its solved value in x, except the atom's
     event when a pair is given.  Propagating the signature's step tables
     along the arcs both derives the support and checks the region
-    condition on every arc.
+    condition on every arc.  Only the groups whose values x uses get a
+    table, so a region costs at most |E| + 1 tables of b+1 entries.
     """
-    groups = [Group(k) for k in range(tau.bound + 1)]
-    tables = [tau.step(g) for g in groups]
+    groups = {v: Group(v) for v in set(x)}
+    tables = {v: tau.step(g) for v, g in groups.items()}
     sig: dict[str, TauEvent] = dict(zip(sd.ts.events, [groups[v] for v in x]))
     steps = [tables[v] for v in x]
     if pair is not None:
@@ -238,11 +238,13 @@ def decide_ssa(
 ) -> Optional[Region]:
     """Group-only region separating two states, or None.
 
-    Solves base system + (psi(s') - psi(s)).abs = q for q = 1..b; the first
+    Solves base system + (psi(s') - psi(s)).abs = q for q = 1..b; the least
     solvable q yields the region with sup_init = 0.  One reduction of
     [reduced cycles | 0; psi(s') - psi(s) | 1] (modsolve.first_solvable),
-    continued from the reduced cycle rows with the one new row, tests
-    every q and gives the first passing q's solution.
+    continued from the reduced cycle rows with the one new row, is one
+    block in q: the atom is unsolvable iff the reduction holds a row
+    (0 .. 0 | unit), and otherwise its least q and solution are read off
+    the same basis.
     """
     if "ssp" not in POLYNOMIAL.get(tau.family, ()):
         raise ValueError(f"no polynomial ssa decision for family {tau.family}")
@@ -253,11 +255,10 @@ def decide_ssa(
     modulus = tau.bound + 1
     psi, state = sd.tree_psi, ts.index.state
     row = _difference(psi[state[atom.right]], psi[state[atom.left]], modulus)
-    probes = ((q, (q,)) for q in range(1, modulus))
-    found = modsolve.first_solvable(modulus, len(ts.events), (row,), ((1,),), probes, sd.reduced_cycles)
+    found = modsolve.first_solvable(modulus, len(ts.events), (row,), ((1,),), (((None, ()),),), sd.reduced_cycles)
     if found is None:
         return None
-    return _derived_region(sd, tau, atom, 0, found[1])
+    return _derived_region(sd, tau, atom, 0, found[2])
 
 
 def decide(ts: TransitionSystem, tau: NetType, problem: str) -> DecisionReport:
@@ -444,26 +445,26 @@ def decide_essa_rzpt(
     the event gets the pair signature, every other event its solved group
     value.  A probe only sets the right-hand side (n-m, m-sup_init, q) mod
     b+1, so the pairs (0,1)..(0,b), (1,1) alone meet each distinct system
-    once, where that order first meets it: b(b+1)^2 probes, not
-    b(b+1)^3 - b(b+1), for an unsolvable atom.  The atom costs one
-    reduction (modsolve.first_solvable), continued from the event's shared
-    block with the three new rows, which turns every probe into dot
-    products and gives the first passing probe's solution.
+    once, where that order first meets it, and together they meet every
+    right-hand side with q != 0.  The atom costs one reduction
+    (modsolve.first_solvable), continued from the event's shared block
+    with the three new rows.  Off its basis, an unsolvable atom is told in
+    O(1), a pair none of whose probes passes is skipped with one test, and
+    each (pair, sup_init) block yields its least passing q by one solve:
+    at most b+1 pair tests and b+2 block solves per atom, never one test
+    per q.
     """
     sd = _checked_spanning(ts, bound, sd)
     tau = make_type("rzpt", bound)
     # (1,0) and (1,n>=2) repeat (0, n-1 mod b+1) at sup_init-1, and every
     # pair with m >= 2 repeats one with m = 1
     pairs = [(0, n) for n in range(1, bound + 1)] + [(1, 1)]
-    probes = (
-        ((m, n, sup_init), (n - m, m - sup_init, q))
-        for (m, n), sup_init, q in itertools.product(pairs, range(bound + 1), range(1, bound + 1))
-    )
+    groups = ((((m, n, sup_init), (n - m, m - sup_init)) for sup_init in range(bound + 1)) for m, n in pairs)
     shared, rows, tails = _essa_layout(sd, atom)
-    found = modsolve.first_solvable(bound + 1, len(ts.events), rows, tails, probes, shared)
+    found = modsolve.first_solvable(bound + 1, len(ts.events), rows, tails, groups, shared)
     if found is None:
         return None
-    (m, n, sup_init), x = found
+    (m, n, sup_init), _, x = found
     return _derived_region(sd, tau, atom, sup_init, x, Pair(m, n))
 
 

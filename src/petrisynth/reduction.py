@@ -409,11 +409,17 @@ def _alpha_template(
 
 
 def alpha_witness_region(
-    phi: Cm1in3Formula, model: frozenset[int], variant: str, bound: int
+    phi: Cm1in3Formula,
+    model: frozenset[int],
+    variant: str,
+    bound: int,
+    union: Optional[GadgetUnion] = None,
 ) -> AlphaWitness:
     """Solving region for the distinguished atom, from a one-in-three model.
 
-    The region is built over the union from the variant's template, then
+    union, when given, is build_union(phi, variant, bound) built by the
+    caller, and is not built again.  The region is built over it from the
+    variant's template, then
     extended over the joined TS: waypoint states inherit the atom state's
     support and connector events get the signature moving between the
     supports they bridge (pure pairs, or groups for the modulo variant).
@@ -422,7 +428,10 @@ def alpha_witness_region(
     """
     if not is_model(phi, model):
         raise ValueError("assignment is not a one-in-three model")
-    union = build_union(phi, variant, bound)
+    if union is None:
+        union = build_union(phi, variant, bound)
+    elif (union.formula, union.variant, union.bound) != (phi, variant, bound):
+        raise ValueError("union belongs to another formula, variant or bound")
     tau = make_type(VARIANT_FAMILY[variant], bound)
     inits, overrides = _alpha_template(union, model)
     union_region = _propagate(union, tau, inits, overrides)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from petrisynth import cli, polysynth
+from petrisynth import cli, polysynth, reduction
 from petrisynth.cli import main
 from petrisynth.fileio import parse_net, parse_ts, serialize_formula, serialize_ts
 from petrisynth.nets import reachability_graph
@@ -290,6 +290,23 @@ def test_reduce_emits_witness(tmp_path, example_formula, capsys):
     assert ".atom ssa h2_0 h2_2" in witness
     assert ".region r0" in witness
     assert ".sup h2_0" in witness and ".sig k " in witness
+
+
+def test_reduce_emit_witness_builds_the_union_once(tmp_path, example_formula, monkeypatch):
+    # the witness region is built over the union the command already built
+    calls = []
+    original = reduction.build_union
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reduction, "build_union", counting)
+    monkeypatch.setattr(cli, "build_union", counting)
+    source = tmp_path / "phi.cnf3"
+    source.write_text(serialize_formula(example_formula))
+    assert main(["reduce", "--variant", "ssp", "--b", "2", "--emit-witness", str(source)]) == 0
+    assert len(calls) == 1
 
 
 def test_reduce_unsat_writes_stub(tmp_path, capsys):

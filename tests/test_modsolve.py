@@ -16,16 +16,26 @@ def brute_solve(system):
 
 
 def check_probes(modulus, rows, tails, rng, cols):
-    """first_solvable against brute force on each of a few random probes
-    r: a probe passes iff brute force solves rows.x = tails.r, and the x
+    """first_solvable against brute force on a few random one-block
+    groups (fixed): the least q in 1..modulus-1 for which brute force
+    solves rows.x = tails.(*fixed, q) is the q handed back, and the x
     handed back satisfies that system."""
+    image = {
+        tuple(sum(a * v for a, v in zip(row, x)) % modulus for row in rows)
+        for x in itertools.product(range(modulus), repeat=cols)
+    }
+
+    def rhs(fixed, q):
+        return [sum(c * v for c, v in zip(t, (*fixed, q))) % modulus for t in tails]
+
     for _ in range(4):
-        r = tuple(rng.randrange(modulus) for _ in range(len(tails[0])))
-        system = make_system(modulus, rows, [sum(c * v for c, v in zip(t, r)) for t in tails], cols)
-        found = first_solvable(modulus, cols, rows, tails, [("r", r)])
-        assert (found is None) == (brute_solve(system) is None), (rows, tails, r)
+        fixed = tuple(rng.randrange(modulus) for _ in range(len(tails[0]) - 1))
+        want = next((q for q in range(1, modulus) if tuple(rhs(fixed, q)) in image), None)
+        found = first_solvable(modulus, cols, rows, tails, [[("r", fixed)]])
+        assert (None if found is None else found[1]) == want, (rows, tails, fixed)
         if found is not None:
-            assert found[0] == "r" and verify(system, found[1]), (rows, tails, r)
+            system = make_system(modulus, rows, rhs(fixed, want), cols)
+            assert found[0] == "r" and verify(system, found[2]), (rows, tails, fixed)
 
 
 def test_make_system_validation():
@@ -143,19 +153,23 @@ def test_solve_honors_rhs_only_in_reduced_space():
 )
 def test_kept_rows_decide_solvability(modulus, seed, k, n, width):
     # A x = E r is solvable iff r is orthogonal to every kept row of the
-    # reduced [A | E]: the probe passes exactly when solve finds a solution
-    # of A x = E r, and the solution handed back is that one and checks out
+    # reduced [A | E]: a one-block group's least q is the least q for which
+    # solve finds a solution of A x = E (*fixed, q), and the solution
+    # handed back is that one and checks out
     rng = random.Random(seed)
     a = tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k))
     e = tuple(tuple(rng.randrange(modulus) for _ in range(width)) for _ in range(k))
     for _ in range(6):
-        r = tuple(rng.randrange(modulus) for _ in range(width))
-        system = ModSystem(modulus, n, a, tuple(sum(c * v for c, v in zip(t, r)) for t in e))
-        x = solve(system)
-        found = first_solvable(modulus, n, a, e, [("r", r)])
-        assert found == (None if x is None else ("r", x)), r
-        if x is not None:
-            assert verify(system, x)
+        fixed = tuple(rng.randrange(modulus) for _ in range(width - 1))
+        want = None
+        for q in range(1, modulus):
+            r = (*fixed, q)
+            system = ModSystem(modulus, n, a, tuple(sum(c * v for c, v in zip(t, r)) for t in e))
+            if (x := solve(system)) is not None:
+                assert verify(system, x)
+                want = ("r", q, x)
+                break
+        assert first_solvable(modulus, n, a, e, [[("r", fixed)]]) == want, fixed
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,20 +181,81 @@ def test_kept_rows_decide_solvability(modulus, seed, k, n, width):
     width=st.sampled_from([1, 3]),
 )
 def test_first_solvable_depends_only_on_the_row_span(modulus, seed, k, n, width):
-    # the first passing probe and its x are fixed by the row span of
-    # [A | E]: a homogeneous block with repeated rows beside new rows, the
-    # same rows deduplicated and shuffled, and the block's reduction
-    # continued with the new rows alone all give the same (key, x)
+    # the first passing block, its q and its x are fixed by the row span
+    # of [A | E]: a homogeneous block with repeated rows beside new rows,
+    # the same rows deduplicated and shuffled, and the block's reduction
+    # continued with the new rows alone all give the same (key, q, x)
     rng = random.Random(seed)
     block = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k)]
     block += [rng.choice(block) for _ in block]
     rows = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(rng.randint(1, 3))]
     tails = [tuple(rng.randrange(modulus) for _ in range(width)) for _ in rows]
-    probes = [(i, tuple(rng.randrange(modulus) for _ in range(width))) for i in range(6)]
+    groups = [[(0, ())]] if width == 1 else [
+        [((i, j), (head, rng.randrange(modulus))) for j in range(3)]
+        for i, head in enumerate(rng.randrange(modulus) for _ in range(3))
+    ]
     zero = (0,) * width
-    raw = first_solvable(modulus, n, block + rows, [zero] * len(block) + tails, probes)
+    raw = first_solvable(modulus, n, block + rows, [zero] * len(block) + tails, groups)
     pairs = list(dict.fromkeys([(row, zero) for row in block] + list(zip(rows, tails))))
     rng.shuffle(pairs)
-    shuffled = first_solvable(modulus, n, [a for a, _ in pairs], [e for _, e in pairs], probes)
-    continued = first_solvable(modulus, n, rows, tails, probes, reduce_rows(modulus, block, n))
+    shuffled = first_solvable(modulus, n, [a for a, _ in pairs], [e for _, e in pairs], groups)
+    continued = first_solvable(modulus, n, rows, tails, groups, reduce_rows(modulus, block, n))
     assert raw == shuffled == continued
+
+
+def probe_walk(modulus, cols, rows, tails, groups, reduced):
+    """The walk first_solvable replaces: every block of every group, then
+    q = 1..modulus-1, each probe (*fixed, q) decided by brute force, with
+    the colex-least solution x (the least last entry first)."""
+    width = len(tails[0])
+    a = [*reduced, *rows]
+    e = [(0,) * width] * len(reduced) + list(tails)
+    least = {}
+    for t in itertools.product(range(modulus), repeat=cols):
+        x = t[::-1]
+        least.setdefault(tuple(sum(c * v for c, v in zip(row, x)) % modulus for row in a), x)
+    for group in groups:
+        for key, fixed in group:
+            for q in range(1, modulus):
+                r = (*fixed, q)
+                x = least.get(tuple(sum(c * v for c, v in zip(t, r)) % modulus for t in e))
+                if x is not None:
+                    return key, q, x
+    return None
+
+
+def rzpt_groups(modulus):
+    """decide_essa_rzpt's groups: the pairs (0,1)..(0,b), (1,1), each with
+    its blocks sup_init 0..b, where b = modulus - 1."""
+    pairs = [(0, n) for n in range(1, modulus)] + [(1, 1)]
+    return [[((m, n, s), (n - m, m - s)) for s in range(modulus)] for m, n in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    seed=st.integers(0, 10**9),
+    k=st.integers(1, 4),
+    n=st.integers(1, 3),
+    width=st.sampled_from([1, 3]),
+    with_block=st.booleans(),
+    last_only=st.booleans(),
+)
+def test_block_search_matches_the_probe_walk(modulus, seed, k, n, width, with_block, last_only):
+    # the first passing block, its least q and its x are those of the
+    # probe-by-probe walk; with last_only the row (0 | 1 0 0) pins
+    # n - m to 0, which only the last pair (1,1) meets, so every group but
+    # the last is dead and skipped
+    rng = random.Random(seed)
+    rows = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(k)]
+    tails = [tuple(rng.randrange(modulus) for _ in range(width)) for _ in rows]
+    if width == 3 and last_only:
+        rows.append((0,) * n)
+        tails.append((1, 0, 0))
+    block = [tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+    reduced = reduce_rows(modulus, block, n) if with_block else ()
+    groups = rzpt_groups(modulus) if width == 3 else [[(None, ())]]
+    found = first_solvable(modulus, n, rows, tails, groups, reduced)
+    assert found == probe_walk(modulus, n, rows, tails, groups, reduced)
+    if width == 3 and last_only and found is not None:
+        assert found[0][:2] == (1, 1)

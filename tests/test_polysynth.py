@@ -5,9 +5,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petrisynth import modsolve, polysynth
+from petrisynth import modsolve, nettypes, polysynth
 from petrisynth.nets import PetriNet, reachability_graph
-from petrisynth.nettypes import Z_FAMILIES, Group, Pair, make_type
+from petrisynth.nettypes import MAX_BOUND, Z_FAMILIES, Group, NetType, Pair, make_type
 from petrisynth.oracle import enumerate_regions, oracle_decide
 from petrisynth.polysynth import (
     AbstractRegion,
@@ -100,9 +100,10 @@ def test_essa_system_rejects_missing_event():
 def test_derived_region_self_check(demo8, monkeypatch):
     # a solution breaking demo8's cycle row (0, 2, 0, 1) mod 3 cannot
     # propagate along the arcs, so the derived region must not come back
-    # the solver hands the first probe's key back with a wrong solution
-    def wrong(modulus, cols, rows, tails, probes, reduced):
-        return next(iter(probes))[0], (0, 1, 0, 0)
+    # the solver hands the first block's key and q = 1 back with a wrong
+    # solution
+    def wrong(modulus, cols, rows, tails, groups, reduced):
+        return next(iter(next(iter(groups))))[0], 1, (0, 1, 0, 0)
 
     monkeypatch.setattr(modsolve, "first_solvable", wrong)
     with pytest.raises(AssertionError, match="derived region fails validation"):
@@ -190,9 +191,9 @@ def test_torus_cycle_rows_are_distinct(monkeypatch):
 
 
 def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
-    # all b(b+1)^2 probes are dot products with the kept rows of one
-    # reduction of the atom's [A | E] block, beside the event's shared
-    # block (4 columns, then 4 + 3); none passes, so nothing is solved
+    # one reduction of the atom's [A | E] block, beside the event's shared
+    # block (4 columns, then 4 + 3), tells every probe unsolvable: its
+    # last row is (0 | 0 0 unit), so nothing is solved
     solved = count_calls(monkeypatch, "solve")
     reduced = count_calls(monkeypatch, "reduce_rows")
     assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("a", "5")) is None
@@ -202,7 +203,8 @@ def test_unsolvable_essa_solves_each_system_once(demo8, monkeypatch):
 
 def test_decided_atoms_solve_at_most_once(demo8, a2, monkeypatch):
     # a decided atom reads its solution off the reduction that tested its
-    # probes: no second reduction, no modsolve.solve
+    # probes: no second reduction, no modsolve.solve, even for (c,1), which
+    # only the last pair (1,1) solves, after the dead pairs were skipped
     solved = count_calls(monkeypatch, "solve")
     reduced = count_calls(monkeypatch, "reduce_rows")
     assert decide_essa_rzpt(demo8, 2, SeparationAtom.essa("c", "1")) is not None
@@ -211,6 +213,60 @@ def test_decided_atoms_solve_at_most_once(demo8, a2, monkeypatch):
     # a 3-cycle of one event cannot tell its states apart mod 2
     assert decide_ssa(a2, make_type("zppt", 1), SeparationAtom.ssa("s0", "s1")) is None
     assert solved == []
+
+
+def test_essa_work_does_not_grow_with_the_bound_per_q(monkeypatch):
+    # at b = MAX_BOUND, essa(b,s0) on late is answered by pair (1,1) alone
+    # (b's self-loop pins n - m to 0), after at most b+1 pair tests and b+1
+    # block solves, each a congruence solve of a few dot products, none
+    # per q; on dup, essa(b,s1) is unsolvable (2 a = 0 forces q = 0 when
+    # b+1 is odd) and is told off the basis with no solve at all
+    bound = MAX_BOUND
+    late = TransitionSystem("late", ["s0", "s1"], ["a", "b"], [("s0", "a", "s1"), ("s1", "b", "s1")], "s0")
+    dup = TransitionSystem(
+        "dup", ["s0", "s1"], ["a", "b"], [("s0", "a", "s1"), ("s1", "a", "s0"), ("s0", "b", "s0")], "s0"
+    )
+    solved, dots = [], []
+    least_q, dot = modsolve._least_q, modsolve._dot
+
+    def counting_least_q(modulus, rows, fixed):
+        # a block solve fixes (n - m, m - sup_init), a pair test n - m
+        solved.append("block" if len(fixed) == 2 else "pair")
+        return least_q(modulus, rows, fixed)
+
+    def counting_dot(u, v):
+        dots.append(1)
+        return dot(u, v)
+
+    monkeypatch.setattr(modsolve, "_least_q", counting_least_q)
+    monkeypatch.setattr(modsolve, "_dot", counting_dot)
+    region = decide_essa_rzpt(late, bound, SeparationAtom.essa("b", "s0"))
+    assert region is not None and region.sig["b"] == Pair(1, 1)
+    assert solved.count("pair") <= bound + 1 and solved.count("block") <= bound + 1
+    assert len(dots) <= 10 * (bound + 1)  # a test per q would take b(b+1)
+    solved.clear()
+    assert decide_essa_rzpt(dup, bound, SeparationAtom.essa("b", "s1")) is None
+    assert solved == []
+
+
+def test_derived_region_builds_only_the_tables_it_uses(monkeypatch):
+    # at b = MAX_BOUND a region tables the groups its solution uses, not
+    # all b+1 of them: a fresh net type, so no table is cached, counts at
+    # most (|E| + 1)(b+1) delta_tau calls for ssa(s0,s1) on a 2-event TS
+    calls = []
+    original = nettypes.delta_tau
+
+    def counting(tau, state, e):
+        calls.append(1)
+        return original(tau, state, e)
+
+    monkeypatch.setattr(nettypes, "delta_tau", counting)
+    ts = TransitionSystem("late", ["s0", "s1"], ["a", "b"], [("s0", "a", "s1"), ("s1", "b", "s1")], "s0")
+    tau = NetType("zppt", MAX_BOUND)
+    atom = SeparationAtom.ssa("s0", "s1")
+    region = decide_ssa(ts, tau, atom)
+    assert region is not None and solves(region, tau, atom)
+    assert len(calls) <= (len(ts.events) + 1) * (MAX_BOUND + 1)
 
 
 def test_deciders_reject_foreign_spanning_data(demo8, a2):

@@ -185,6 +185,19 @@ def test_alpha_witness_rejects_non_model(example_formula):
         alpha_witness_region(example_formula, frozenset({0, 1}), "ppt-essp", 1)
 
 
+def test_alpha_witness_takes_its_union(example_formula):
+    # a union built by the caller gives the region built without it, and
+    # one of another variant or bound is refused
+    model = frozenset({0, 4})
+    union = build_union(example_formula, "ssp", 2)
+    given = alpha_witness_region(example_formula, model, "ssp", 2, union)
+    assert given.union is union
+    assert given.region == alpha_witness_region(example_formula, model, "ssp", 2).region
+    for variant, bound in (("ssp", 1), ("z-essp", 2)):
+        with pytest.raises(ValueError, match="union belongs to another formula, variant or bound"):
+            alpha_witness_region(example_formula, model, variant, bound, union)
+
+
 def test_validate_union_region_errors(example_formula):
     union = build_union(example_formula, "ssp", 1)
     tau = make_type("ppt", 1)
