@@ -108,12 +108,21 @@ def parse_ts(text: str) -> TransitionSystem:
         events = list(seen_events)
     try:
         ts = TransitionSystem(name, states, events, [a for _, a in arcs], initial)
-    except ValueError as exc:
-        raise ParseError(lines[0][0], str(exc)) from exc
+    except ValueError as exc:  # a nondeterministic arc, at its second line
+        raise ParseError(_repeat((n, (s, e)) for n, (s, e, _) in arcs), str(exc)) from exc
     report = validate(ts)
     if not report.ok:
-        raise ParseError(lines[0][0], "; ".join(report.violations))
+        # a first violation "duplicate state: x" is at the second ".state x"
+        kind = report.violations[0].split(":")[0]
+        line = _repeat((n, tuple(t)) for n, t in lines if kind == f"duplicate {t[0][1:]}")
+        raise ParseError(line or lines[0][0], "; ".join(report.violations))
     return ts
+
+
+def _repeat(keyed: Iterable[tuple[int, object]]) -> Optional[int]:
+    """The first line whose key an earlier line already had, or None."""
+    first: dict[object, int] = {}
+    return next((number for number, key in keyed if first.setdefault(key, number) != number), None)
 
 
 def serialize_ts(ts: TransitionSystem) -> str:

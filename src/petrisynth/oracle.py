@@ -3,11 +3,11 @@
 A region is determined by its initial support and its signature, so the
 candidate space is (b+1) * |tau events|^|events|.  The oracle walks it in
 lexicographic order and decides separation problems by greedy witness
-assembly.  The walk assigns signatures one event at a time and skips every
-signature prefix that already fails on an arc, so only regions are built;
-the order and the candidate counts are those of the full product.  Budgets
-keep runaway inputs from hanging: exceeding one raises, it never silently
-degrades into a wrong answer.
+assembly.  The walk assigns signatures one event at a time, tabling a tau
+event when it is first assigned, and skips every signature prefix that fails
+on an arc, so only regions are built; the order and the candidate counts are
+those of the full product.  Budgets keep runaway inputs from hanging:
+exceeding one raises, it never silently degrades into a wrong answer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from .nettypes import NetType
 from .polysynth import OpenAtoms
-from .regions import CoverageView, Region, WitnessSet, support_from_signature
+from .regions import CoverageView, Region, WitnessSet, propagate_support
 from .ts import SeparationAtom, TransitionSystem
 
 
@@ -63,7 +63,8 @@ def _candidates(
     events assigned so far; a signature prefix that already fails on an
     arc (an undefined step, or two walks that disagree) is skipped with
     every completion, and all of them are counted as consumed.  So the
-    regions, their order and the counts are those of the full product.
+    regions, their order and the counts are those of the full product; each
+    region is read off the walk, its states in propagate_support's order.
     Raises BudgetExceeded before consuming a candidate past the budget.
     """
     limit = budget.max_candidates
@@ -75,7 +76,8 @@ def _candidates(
     for arcs in out:
         for arc in arcs:
             by_event[arc[1]].append(arc)
-    tables = [tau.step(ev) for ev in tau.events]
+    tables: list[Optional[tuple[Optional[int], ...]]] = [None] * k  # per tau event, on first assignment
+    order: Optional[list[tuple[str, int]]] = None  # at the first region: an unreachable state raises there
     checked = 0
 
     def consume(count: int) -> None:
@@ -94,16 +96,18 @@ def _candidates(
         while depth >= 0:
             if depth == n:
                 consume(1)
+                if order is None:
+                    order = [(s, index.state[s]) for s in propagate_support(ts, 0, [(0,)] * n)]
                 sig = {e: tau.events[c] for e, c in zip(ts.events, choice)}
-                region = support_from_signature(ts, tau, sup_init, sig)
-                assert region is not None, "a signature that survives the walk is a region"
-                yield checked, region
+                yield checked, Region({s: sup[p] for s, p in order}, sig)
                 depth -= 1
                 continue
             for state in fixed[marks[depth]:]:
                 sup[state] = None
             del fixed[marks[depth]:]
             choice[depth] += 1
+            if choice[depth] < k and tables[choice[depth]] is None:
+                tables[choice[depth]] = tau.step(tau.events[choice[depth]])
             if choice[depth] == k:
                 choice[depth] = -1
                 depth -= 1
@@ -119,14 +123,14 @@ def _propagate(
     fixed: list[int],
     arcs: list[tuple[int, int, int]],
     out: list[list[tuple[int, int, int]]],
-    tables: list[tuple[Optional[int], ...]],
+    tables: list[Optional[tuple[Optional[int], ...]]],
     choice: list[int],
     depth: int,
 ) -> bool:
     """Walk the arcs of the event just assigned (at depth) from the states
     already fixed, then the arcs of events 0..depth out of every state this
-    fixes.  Newly fixed states go to sup and fixed.  False on an undefined
-    step or a disagreement."""
+    fixes, reading the tables of those events only.  Newly fixed states go
+    to sup and fixed.  False on an undefined step or a disagreement."""
     work = list(arcs)
     while work:
         src, i, dst = work.pop()

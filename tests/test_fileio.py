@@ -79,8 +79,12 @@ def test_parse_ts_errors():
         parse_ts(".ts a\n.initial s0\n.arc s0 e s1\n.arc s0 e s2\n")
     except ParseError as exc:
         err = exc
-    assert err is not None and err.line == 1
+    assert err is not None and err.line == 4
     assert "nondeterministic arc: s0 e" in err.reason
+    with pytest.raises(ParseError, match="line 3: duplicate state: x$"):
+        parse_ts(".ts a\n.state x\n.state x\n.event e\n.initial x\n.arc x e x\n")
+    with pytest.raises(ParseError, match="line 5: duplicate event: e; duplicate event: e$"):
+        parse_ts(".ts a\n.state x\n.event e\n.event f\n.event e\n.event e\n.initial x\n.arc x e x\n.arc x f x\n")
     with pytest.raises(ParseError, match="unreachable: u"):
         parse_ts(".ts a\n.state u\n.state x\n.event e\n.initial x\n.arc x e x\n")
 

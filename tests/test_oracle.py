@@ -7,9 +7,18 @@ from conftest import random_ts
 from hypothesis import given, settings, strategies as st
 
 from petrisynth import oracle
-from petrisynth.nettypes import FAMILIES, make_type
+from petrisynth.nettypes import FAMILIES, NetType, make_type
 from petrisynth.oracle import BudgetExceeded, OracleBudget, OracleReport, enumerate_regions, oracle_decide
-from petrisynth.regions import CoverageView, WitnessSet, check_witness, solves, support_from_signature, validate_region
+from petrisynth.regions import (
+    CoverageView,
+    Region,
+    WitnessSet,
+    check_witness,
+    propagate_support,
+    solves,
+    support_from_signature,
+    validate_region,
+)
 from petrisynth.ts import PROBLEMS, SeparationAtom, TransitionSystem, enumerate_atoms
 
 PPT1 = make_type("ppt", 1)
@@ -171,17 +180,35 @@ def test_walk_builds_only_regions(monkeypatch):
     )
     pt2 = make_type("pt", 2)
     regions = len(list(enumerate_regions(ts, pt2)))
-    calls = []
+    built, walks = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return support_from_signature(*args)
+    def counted_region(*args):
+        built.append(args)
+        return Region(*args)
 
-    monkeypatch.setattr(oracle, "support_from_signature", counted)
+    def counted_walk(*args):
+        walks.append(args)
+        return propagate_support(*args)
+
+    monkeypatch.setattr(oracle, "Region", counted_region)
+    monkeypatch.setattr(oracle, "propagate_support", counted_walk)
     report = oracle_decide(ts, pt2, "ssp")
     assert not report.answer
     assert report.checked == 3 * 9**4
-    assert len(calls) == regions
+    assert len(built) == regions
+    # the support order is taken once; every region is read off the walk
+    assert len(walks) == 1
+
+
+def test_walk_tables_only_assigned_events(a2):
+    # a fresh type, not make_type's process-wide one, whose tables earlier
+    # tests may have filled: pt at b=20 has 441 tau events, and 5
+    # candidates assign at most 6 of them
+    tau = NetType("pt", 20)
+    with pytest.raises(BudgetExceeded) as info:
+        oracle_decide(a2, tau, "ssp", OracleBudget(5))
+    assert info.value.checked == 5
+    assert len(tau._steps) <= 6
 
 
 @settings(max_examples=40, deadline=None)
