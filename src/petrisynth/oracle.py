@@ -97,7 +97,7 @@ def _candidates(
             if depth == n:
                 consume(1)
                 if order is None:
-                    order = [(s, index.state[s]) for s in propagate_support(ts, 0, [(0,)] * n)]
+                    order = [(s, index.state[s]) for s in propagate_support(ts, [(index.initial, 0)], [(0,)] * n)]
                 sig = {e: tau.events[c] for e, c in zip(ts.events, choice)}
                 yield checked, Region({s: sup[p] for s, p in order}, sig)
                 depth -= 1

@@ -221,7 +221,7 @@ def _derived_region(
     if pair is not None:
         sig[atom.left] = pair
         steps[sd.ts.index.event[atom.left]] = tau.step(pair)
-    sup = propagate_support(sd.ts, sup_init, steps)
+    sup = propagate_support(sd.ts, [(sd.ts.index.initial, sup_init)], steps)
     if sup is None:
         raise AssertionError("derived region fails validation")
     region = Region(sup, sig)

@@ -23,6 +23,7 @@ from .polysynth import first_fit
 from .regions import (
     Region,
     WitnessSet,
+    propagate_support,
     solves,
     support_from_signature,
     validate_region,
@@ -357,20 +358,17 @@ def _propagate(
 ) -> Region:
     """Union region from per-member initial supports and a signature.
 
-    Events outside overrides get tau's do-nothing event.  Raises
-    when a member's support cannot be propagated; templates are never
-    silently repaired.  Propagation walks every member arc, so a returned
-    region satisfies the region condition on the whole union.
+    Events outside overrides get tau's do-nothing event.  One walk from the
+    members' initial states derives the support and checks every member
+    arc; a failure names the first failing member and repairs nothing.
     """
     sig = {e: overrides.get(e, tau.neutral) for e in union.events}
-    sup: dict[str, int] = {}
-    for member in union.members:
-        part = support_from_signature(
-            member, tau, inits[member.name], {e: sig[e] for e in member.events}
-        )
-        if part is None:
-            raise ValueError(f"template support fails on member {member.name}")
-        sup.update(part.sup)
+    roots = [(union.ts.index.state[m.initial], inits[m.name]) for m in union.members]
+    sup = propagate_support(union.ts, roots, [tau.step(ev) for ev in sig.values()])
+    if sup is None:
+        for m in union.members:
+            if support_from_signature(m, tau, inits[m.name], {e: sig[e] for e in m.events}) is None:
+                raise ValueError(f"template support fails on member {m.name}")
     return Region(sup, sig)
 
 

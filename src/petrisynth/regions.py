@@ -175,40 +175,46 @@ def support_from_signature(
         raise ValueError("signature map does not match the event set")
     if not 0 <= sup_init <= tau.bound:
         raise ValueError(f"initial support out of range: {sup_init}")
-    sup = propagate_support(ts, sup_init, [tau.step(sig[e]) for e in ts.events])
+    sup = propagate_support(ts, [(ts.index.initial, sup_init)], [tau.step(sig[e]) for e in ts.events])
     return None if sup is None else Region(sup, dict(sig))
 
 
 def propagate_support(
-    ts: TransitionSystem, sup_init: int, steps: Sequence[tuple[Optional[int], ...]]
+    ts: TransitionSystem, roots: Iterable[tuple[int, int]], steps: Sequence[tuple[Optional[int], ...]]
 ) -> Optional[dict[str, int]]:
-    """The support fixed by sup_init and one step table per TS event
-    position, or None on an undefined step or two walks that disagree.
+    """The support fixed by roots, (state position, support) pairs, and one
+    step table per TS event position, or None on an undefined step, two
+    walks that disagree or a root that disagrees with an earlier walk.
 
-    Walks the arcs of ts.index depth first from the initial state; the
-    support lists the states in the order the walk first reaches them.
-    Raises ValueError if a state is unreachable.
+    Walks the arcs of ts.index depth first from each root in turn, listing
+    the states in the order first reached; raises ValueError if no root
+    reaches some state.
     """
-    index = ts.index
-    out = index.out
+    out = ts.index.out
     sup: list[Optional[int]] = [None] * len(out)
-    sup[index.initial] = sup_init
-    order = [index.initial]
-    stack = [index.initial]
-    while stack:
-        state = stack.pop()
-        tokens = sup[state]
-        for event, dst in out[state]:
-            nxt = steps[event][tokens]
-            if nxt is None:
-                return None
-            known = sup[dst]
-            if known is None:
-                sup[dst] = nxt
-                order.append(dst)
-                stack.append(dst)
-            elif known != nxt:
-                return None
+    order: list[int] = []
+    stack: list[int] = []
+    for root, init in roots:
+        if sup[root] is None:
+            sup[root] = init
+            order.append(root)
+            stack.append(root)
+        elif sup[root] != init:
+            return None
+        while stack:
+            state = stack.pop()
+            tokens = sup[state]
+            for event, dst in out[state]:
+                nxt = steps[event][tokens]
+                if nxt is None:
+                    return None
+                known = sup[dst]
+                if known is None:
+                    sup[dst] = nxt
+                    order.append(dst)
+                    stack.append(dst)
+                elif known != nxt:
+                    return None
     if len(order) != len(out):
         raise ValueError("TS has unreachable states")
     states = ts.states
@@ -256,14 +262,10 @@ def synthesized_net(
     """
     regions = list(regions)
     places = [(f"p{i}", r.sup[ts.initial]) for i, r in enumerate(regions)]
-    flow = {}
-    for i, r in enumerate(regions):
-        for e in ts.events:
-            flow[(f"p{i}", e)] = r.sig[e]
     return PetriNet(
         name=name or f"{ts.name}.net",
         net_type=tau,
         places=places,
         transitions=ts.events,
-        flow=flow,
+        flow={(f"p{i}", e): r.sig[e] for i, r in enumerate(regions) for e in ts.events},
     )

@@ -18,7 +18,14 @@ from petrisynth.reduction import (
     linear_joining,
     ppt_essp_witness,
 )
-from petrisynth.regions import Region, WitnessSet, check_witness, solves, validate_region
+from petrisynth.regions import (
+    Region,
+    WitnessSet,
+    check_witness,
+    solves,
+    support_from_signature,
+    validate_region,
+)
 from petrisynth.ts import SeparationAtom, essa_atoms, grade, is_linear, validate
 
 
@@ -311,3 +318,78 @@ def test_broken_template_raises(example_formula, monkeypatch):
         alpha_witness_region(example_formula, model, "ppt-essp", 2)
     with pytest.raises(ValueError, match="template support fails on member h1"):
         ppt_essp_witness(example_formula, model, 2)
+
+
+@pytest.mark.filterwarnings("ignore:connector name collides")
+@pytest.mark.parametrize(
+    "variant, bound, member",
+    [(v, b, m) for v, m in (("ppt-essp", "d1"), ("pt-essp", "c1"), ("ssp", "d1")) for b in (1, 2)],
+)
+def test_broken_template_names_the_first_failing_member(example_formula, monkeypatch, variant, bound, member):
+    # only k1 takes a token, which no member starts with: d1 (c1 for
+    # pt-essp) is the first member in member order with a k1 arc, and the
+    # m gadgets after it fail too
+    monkeypatch.setattr(
+        reduction, "_alpha_template", lambda union, model: (reduction._inits(union), {"k1": Pair(1, 0)})
+    )
+    model = frozenset({0, 4})
+    with pytest.raises(ValueError, match=f"template support fails on member {member}$"):
+        alpha_witness_region(example_formula, model, variant, bound)
+    if variant == "ppt-essp":
+        with pytest.raises(ValueError, match=f"template support fails on member {member}$"):
+            ppt_essp_witness(example_formula, model, bound)
+
+
+def merged_reference(union, tau, inits, overrides):
+    """Reference union region: one support_from_signature walk per member,
+    the supports merged in member order."""
+    sig = {e: overrides.get(e, tau.neutral) for e in union.events}
+    sup = {}
+    for member in union.members:
+        part = support_from_signature(member, tau, inits[member.name], {e: sig[e] for e in member.events})
+        assert part is not None
+        sup.update(part.sup)
+    return Region(sup, sig)
+
+
+@pytest.mark.filterwarnings("ignore:connector name collides")
+@pytest.mark.parametrize(
+    "variant, bound",
+    [("ppt-essp", 1), ("ppt-essp", 2), ("pt-essp", 1), ("pt-essp", 2), ("ssp", 1), ("ssp", 2), ("z-essp", 2)],
+)
+def test_union_regions_match_the_member_merge(example_formula, monkeypatch, variant, bound):
+    # every region _propagate builds (the alpha template, and for ppt-essp
+    # the hand-built library and the Lemma 6 regions the witness search
+    # asks for) equals the member-by-member merge, sup order included, and
+    # costs one walk of the union and no per-member walk
+    built, walks = [], []
+    propagate, walk = reduction._propagate, reduction.propagate_support
+
+    def recording(union, tau, inits, overrides):
+        region = propagate(union, tau, inits, overrides)
+        built.append((merged_reference(union, tau, inits, overrides), region))
+        return region
+
+    def counting(*args):
+        walks.append(args[0])
+        return walk(*args)
+
+    def forbidden(*args):
+        raise AssertionError("support_from_signature called on the success path")
+
+    monkeypatch.setattr(reduction, "_propagate", recording)
+    monkeypatch.setattr(reduction, "propagate_support", counting)
+    monkeypatch.setattr(reduction, "support_from_signature", forbidden)
+    model = frozenset({0, 4})
+    witness = alpha_witness_region(example_formula, model, variant, bound)
+    assert len(built) == 1 and built[0][1] is witness.union_region
+    if variant == "ppt-essp":
+        _, regions = ppt_essp_witness(example_formula, model, bound)
+        library = 9 if bound == 1 else 8
+        assert len(built) > 1 + library
+        assert all(any(r is region for _, region in built) for r in regions.regions)
+    assert len(walks) == len(built)
+    assert all(ts.name == f"{variant}.u.b{bound}" for ts in walks)
+    for want, got in built:
+        assert list(got.sup.items()) == list(want.sup.items())
+        assert list(got.sig.items()) == list(want.sig.items())

@@ -10,6 +10,7 @@ from petrisynth.regions import (
     Region,
     WitnessSet,
     check_witness,
+    propagate_support,
     solves,
     support_from_signature,
     synthesized_net,
@@ -149,6 +150,49 @@ def test_derived_regions_match_support_from_signature(seed, family, bound):
         assert list(region.sig) == list(ts.events)
         again = support_from_signature(ts, tau, region.sup[ts.initial], region.sig)
         assert same_region(region, again)
+
+
+def two_components():
+    # a0 -e-> a1 -f-> a2 and b0 -e-> b1, states declared out of walk order;
+    # e takes a token (0 -> 1), f gives one back (1 -> 0)
+    ts = TransitionSystem(
+        "two",
+        ["b0", "a0", "b1", "a1", "a2"],
+        ["e", "f"],
+        [("a0", "e", "a1"), ("a1", "f", "a2"), ("b0", "e", "b1")],
+        "a0",
+    )
+    return ts, ts.index.state, [PPT1.step(Pair(0, 1)), PPT1.step(Pair(1, 0))]
+
+
+def test_roots_walk_component_by_component():
+    ts, at, steps = two_components()
+    got = propagate_support(ts, [(at["a0"], 0), (at["b0"], 0)], steps)
+    assert list(got.items()) == [("a0", 0), ("a1", 1), ("a2", 0), ("b0", 0), ("b1", 1)]
+    got = propagate_support(ts, [(at["b0"], 0), (at["a0"], 0)], steps)
+    assert list(got.items()) == [("b0", 0), ("b1", 1), ("a0", 0), ("a1", 1), ("a2", 0)]
+    # a root inside a component walks on from there; a later root that
+    # reaches back into it must agree
+    got = propagate_support(ts, [(at["a1"], 1), (at["a0"], 0), (at["b0"], 0)], steps)
+    assert list(got.items()) == [("a1", 1), ("a2", 0), ("a0", 0), ("b0", 0), ("b1", 1)]
+    assert propagate_support(ts, [(at["a2"], 1), (at["a0"], 0), (at["b0"], 0)], steps) is None
+
+
+def test_roots_already_reached_must_agree():
+    ts, at, steps = two_components()
+    roots = [(at["a0"], 0), (at["b0"], 0)]
+    want = list(propagate_support(ts, roots, steps).items())
+    for extra in [(at["a0"], 0), (at["a2"], 0), (at["b1"], 1)]:
+        assert list(propagate_support(ts, roots + [extra], steps).items()) == want
+    for extra in [(at["a0"], 1), (at["a1"], 0), (at["b1"], 0)]:
+        assert propagate_support(ts, roots + [extra], steps) is None
+
+
+def test_roots_must_reach_every_state():
+    ts, at, steps = two_components()
+    for roots in ([], [(at["a0"], 0)], [(at["b0"], 0), (at["a1"], 1)]):
+        with pytest.raises(ValueError, match="TS has unreachable states"):
+            propagate_support(ts, roots, steps)
 
 
 def test_validate_region_errors(a1):
