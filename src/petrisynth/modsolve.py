@@ -224,17 +224,26 @@ def _howell(
 
     The state is (basis, pending rows), and every reduction ends with no
     pending rows, so a Howell basis is a state to start from with new
-    rows pending.  Takes rows already reduced into 0..m-1, consumes the
-    list and updates the dict, never the rows.
+    rows pending.  A pivot that is not a unit pushes its annihilator row
+    ((m/gcd(pivot, m)) times the row); a unit's annihilator is zero, so
+    it pushes none.  Once every one of the width columns holds a unit
+    pivot the basis spans Z_m^width and has the Howell property, so the
+    rows still pending are dropped unread.  Takes rows already reduced
+    into 0..m-1, consumes the list and updates the dict, never the rows.
     """
-    while pending:
+    # unit pivots: a 2x2 step's pivot divides the held one, so a unit stays
+    # one, and a held unit (3 meeting 2 mod 4) takes the step uncounted
+    units = sum(gcd(row[j], m) == 1 for j, row in basis.items())
+    while pending and units < width:
         row = pending.pop(0)
         col = _leading(row, width)
         while col is not None:
             if col not in basis:
                 basis[col] = row
                 d = gcd(row[col], m)
-                if d != m:
+                if d == 1:
+                    units += 1
+                else:
                     pending.append([(m // d) * e % m for e in row])
                 break
             held = basis[col]
@@ -249,9 +258,12 @@ def _howell(
                 row = [((g // d) * rv - (c // d) * hv) % m for hv, rv in zip(held, row)]
                 basis[col] = new_held
                 dd = gcd(d, m)
-                if dd != m:
+                if dd != 1:
                     pending.append([(m // dd) * e % m for e in new_held])
+                elif gcd(g, m) != 1:
+                    units += 1
             col = _leading(row, width)
+    pending.clear()
     return basis
 
 

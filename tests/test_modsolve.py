@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from petrisynth import modsolve
 from petrisynth.modsolve import ModSystem, first_solvable, make_system, reduce_rows, solve, verify
 
 
@@ -135,6 +137,74 @@ def test_reduce_rows_drops_redundancy():
 def test_reduce_rows_reduces_its_input():
     # the solver core takes reduced rows; reduce_rows reduces callers' rows
     assert reduce_rows(4, [(6, -1)], 2) == reduce_rows(4, [(2, 3)], 2)
+
+
+def brute_span(modulus, rows, width):
+    """Every Z_modulus combination of rows."""
+    span = {(0,) * width}
+    for row in rows:
+        span = {tuple((v + c * e) % modulus for v, e in zip(s, row)) for s in span for c in range(modulus)}
+    return span
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.integers(2, 12),
+    seed=st.integers(0, 10**9),
+    width=st.integers(1, 3),
+    k=st.integers(0, 8),
+    units_first=st.booleans(),
+    split=st.booleans(),
+)
+def test_reduce_rows_is_a_howell_basis_of_the_span(modulus, seed, width, k, units_first, split):
+    # the basis spans the input rows' span, and for every j its rows that
+    # are zero in the first j columns span every span vector that is;
+    # with units_first a full basis is reached mid-list and the rest of
+    # the rows are dropped, and with split the reduction is continued
+    # from the basis of a first part of the rows
+    rng = random.Random(seed)
+    units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
+    rows = [tuple(rng.randrange(modulus) for _ in range(width)) for _ in range(k)]
+    if units_first:
+        head = [
+            tuple(0 if j < i else rng.choice(units) if j == i else rng.randrange(modulus) for j in range(width))
+            for i in range(width)
+        ]
+        rows = head + rows
+    cut = rng.randint(0, len(rows)) if split else len(rows)
+    basis = reduce_rows(modulus, rows[cut:], width, reduce_rows(modulus, rows[:cut], width))
+    span = brute_span(modulus, rows, width)
+    for j in range(width + 1):
+        tail = [row for row in basis if not any(row[:j])]
+        assert brute_span(modulus, tail, width) == {v for v in span if not any(v[:j])}, (rows, j)
+
+
+def count_leading(monkeypatch):
+    """The values modsolve._leading returns, in call order."""
+    seen, leading = [], modsolve._leading
+
+    def counted(row, width):
+        seen.append(leading(row, width))
+        return seen[-1]
+
+    monkeypatch.setattr(modsolve, "_leading", counted)
+    return seen
+
+
+def test_a_full_basis_ends_the_reduction(monkeypatch):
+    # three unit rows span Z_4^3, so the 200 rows after them go unread
+    seen = count_leading(monkeypatch)
+    rng = random.Random(0)
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)] + [tuple(rng.randrange(4) for _ in range(3)) for _ in range(200)]
+    assert reduce_rows(4, rows, 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert len(seen) == 3
+
+
+def test_a_unit_pivot_pushes_no_annihilator(monkeypatch):
+    # over Z_5 every pivot is a unit, whose annihilator row is zero
+    seen = count_leading(monkeypatch)
+    assert len(reduce_rows(5, [(1, 2, 3), (2, 0, 1), (1, 1, 1)], 3)) == 3
+    assert None not in seen
 
 
 def test_solve_honors_rhs_only_in_reduced_space():

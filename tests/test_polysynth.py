@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -10,6 +11,7 @@ from petrisynth.nets import PetriNet, reachability_graph
 from petrisynth.nettypes import MAX_BOUND, Z_FAMILIES, Group, NetType, Pair, make_type
 from petrisynth.oracle import enumerate_regions, oracle_decide
 from petrisynth.polysynth import (
+    POLYNOMIAL,
     AbstractRegion,
     base_system,
     build_spanning,
@@ -505,6 +507,25 @@ def test_deciders_match_greedy_reference(seed, bound):
         assert not first_fit.missing
         assert list(synth.witness.coverage.items()) == list(first_fit.coverage.items())
         assert_rejects_non_atoms(ts, synth.witness.coverage, True, True)
+
+
+def test_decisions_match_the_frozen_digest():
+    # answers, failing atoms and witness regions of every polynomial
+    # decider over 200 seeded TSs and six bounds, hashed in order: a change
+    # that moves any of them changes the digest
+    digest, count, yes = hashlib.sha256(), 0, 0
+    for seed in range(200):
+        ts = random_ts(random.Random(seed), 12, 4)
+        for bound in (1, 2, 3, 5, 7, 11):
+            for family, problems in POLYNOMIAL.items():
+                for problem in problems:
+                    report = decide(ts, make_type(family, bound), problem)
+                    regions = report.witness.regions if report.witness is not None else []
+                    summary = [(list(r.sup.items()), list(r.sig.items())) for r in regions]
+                    digest.update(repr((report.holds, str(report.failing), summary)).encode())
+                    count, yes = count + 1, yes + report.holds
+    assert (count, yes) == (6000, 1301)
+    assert digest.hexdigest() == "ba9fe8b73d6cbe728495e2b26c31dd35d728f78714951efe5dc2484820f18245"
 
 
 @settings(max_examples=40, deadline=None)
