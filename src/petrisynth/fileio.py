@@ -8,12 +8,14 @@ canonical order so equal objects give byte-identical files.
 
 from __future__ import annotations
 
+import re
+from itertools import chain
 from typing import Iterable, Optional
 
 from .nets import PetriNet
 from .nettypes import FAMILIES, format_event, make_type, parse_event
 from .reduction import Cm1in3Formula
-from .ts import TransitionSystem, validate
+from .ts import TransitionSystem, TSIndex, validate
 
 
 class ParseError(ValueError):
@@ -25,13 +27,24 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+_COMMENT = re.compile("#.*")
+
+
+def _body_lines(text: str) -> list[str]:
+    """The lines of text with their comments cut.  Lines break at \\n, \\r\\n
+    and \\r only, as universal newlines read them; the other breaks that
+    str.splitlines knows (\\f, \\x85, U+2028, ...) stay inside a line, as
+    whitespace or as comment text."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    return text.split("\n")
+
+
 def _lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((number, body.split()))
-    return out
+    numbered = enumerate(_body_lines(text), start=1)
+    return [(number, tokens) for number, raw in numbered if (tokens := raw.split())]
 
 
 def _expect_header(
@@ -57,17 +70,35 @@ def parse_ts(text: str) -> TransitionSystem:
     Without declarations the state and event lists are inferred from the
     initial state and the arcs in encounter order.  With any declaration
     present, every identifier must be declared.
+
+    One read of the text gives the names; the positions and out-arcs
+    follow from them and reach the TS as its index.  Lines are numbered
+    again only to report an error.
     """
-    lines = _lines(text)
-    number, tokens = _expect_header(lines, ".ts")
-    name = _one_arg(number, tokens)
+    rows = enumerate(_body_lines(text), start=1)
+    for header, raw in rows:
+        tokens = raw.split()
+        if tokens:
+            break
+    else:
+        raise ParseError(1, "empty document")
+    if tokens[0] != ".ts":
+        raise ParseError(header, f"expected .ts, got {tokens[0]}")
+    name = _one_arg(header, tokens)
     states: list[str] = []
     events: list[str] = []
-    arcs: list[tuple[int, tuple[str, str, str]]] = []
+    arcs: list[str] = []  # four tokens per arc
     initial: Optional[str] = None
-    for number, tokens in lines[1:]:
+    for number, raw in rows:
+        tokens = raw.split()
+        if not tokens:
+            continue
         directive = tokens[0]
-        if directive == ".state":
+        if directive == ".arc":
+            if len(tokens) != 4:
+                raise ParseError(number, ".arc takes source, event, target")
+            arcs += tokens
+        elif directive == ".state":
             states.append(_one_arg(number, tokens))
         elif directive == ".event":
             events.append(_one_arg(number, tokens))
@@ -75,48 +106,66 @@ def parse_ts(text: str) -> TransitionSystem:
             if initial is not None:
                 raise ParseError(number, "duplicate .initial")
             initial = _one_arg(number, tokens)
-        elif directive == ".arc":
-            if len(tokens) != 4:
-                raise ParseError(number, ".arc takes source, event, target")
-            arcs.append((number, (tokens[1], tokens[2], tokens[3])))
         elif directive == ".ts":
             raise ParseError(number, "duplicate .ts header")
         else:
             raise ParseError(number, f"unknown directive: {directive}")
     if initial is None:
-        raise ParseError(lines[-1][0], "missing .initial")
-    declared = bool(states or events)
-    if declared:
-        known_states = set(states)
-        known_events = set(events)
-        for number, (src, event, dst) in arcs:
-            for s in (src, dst):
-                if s not in known_states:
-                    raise ParseError(number, f"undeclared state: {s}")
-            if event not in known_events:
-                raise ParseError(number, f"undeclared event: {event}")
-        if initial not in known_states:
-            raise ParseError(lines[-1][0], f"undeclared state: {initial}")
-    else:
-        seen = dict.fromkeys([initial])
-        seen_events: dict[str, None] = {}
-        for _, (src, event, dst) in arcs:
-            seen.setdefault(src)
-            seen.setdefault(dst)
-            seen_events.setdefault(event)
-        states = list(seen)
-        events = list(seen_events)
+        raise ParseError(_lines(text)[-1][0], "missing .initial")
+    srcs, labels, dsts = arcs[1::4], arcs[2::4], arcs[3::4]
+    if not (states or events):
+        states = list(dict.fromkeys(chain([initial], chain.from_iterable(zip(srcs, dsts)))))
+        events = list(dict.fromkeys(labels))
+    state = dict(zip(states, range(len(states))))
+    event = dict(zip(events, range(len(events))))
     try:
-        ts = TransitionSystem(name, states, events, [a for _, a in arcs], initial)
-    except ValueError as exc:  # a nondeterministic arc, at its second line
-        raise ParseError(_repeat((n, (s, e)) for n, (s, e, _) in arcs), str(exc)) from exc
+        src_at, dst_at = list(map(state.__getitem__, srcs)), list(map(state.__getitem__, dsts))
+        label_at = list(map(event.__getitem__, labels))
+        initial_at = state[initial]
+    except KeyError:
+        raise _undeclared(text, state, event, zip(srcs, labels, dsts), initial) from None
+    delta = dict(zip(zip(srcs, labels), dsts))
+    if len(delta) != len(srcs):
+        k = _repeat(enumerate(zip(srcs, labels)))
+        raise ParseError(_arc_lines(text)[k], f"nondeterministic arc: {srcs[k]} {labels[k]}")
+    # with a duplicate name the TS gets no index, and validate lists the
+    # duplicates as the index's own check words them
+    index = None
+    if len(state) == len(states) and len(event) == len(events):
+        out: list[list[tuple[int, int]]] = [[] for _ in states]
+        for at, arc in zip(src_at, zip(label_at, dst_at)):
+            out[at].append(arc)
+        index = TSIndex(state, event, initial_at, tuple(map(tuple, out)))
+    ts = TransitionSystem._indexed(name, states, events, initial, delta, index)
     report = validate(ts)
     if not report.ok:
         # a first violation "duplicate state: x" is at the second ".state x"
         kind = report.violations[0].split(":")[0]
-        line = _repeat((n, tuple(t)) for n, t in lines if kind == f"duplicate {t[0][1:]}")
-        raise ParseError(line or lines[0][0], "; ".join(report.violations))
+        line = _repeat((n, tuple(t)) for n, t in _lines(text) if kind == f"duplicate {t[0][1:]}")
+        raise ParseError(line or header, "; ".join(report.violations))
     return ts
+
+
+def _arc_lines(text: str) -> list[int]:
+    return [number for number, tokens in _lines(text) if tokens[0] == ".arc"]
+
+
+def _undeclared(
+    text: str,
+    state: dict[str, int],
+    event: dict[str, int],
+    arcs: Iterable[tuple[str, str, str]],
+    initial: str,
+) -> ParseError:
+    """The first name a declared document leaves undeclared: in the arcs in
+    order, source, target, then event; then the initial state."""
+    for number, (src, label, dst) in zip(_arc_lines(text), arcs):
+        for s in (src, dst):
+            if s not in state:
+                return ParseError(number, f"undeclared state: {s}")
+        if label not in event:
+            return ParseError(number, f"undeclared event: {label}")
+    return ParseError(_lines(text)[-1][0], f"undeclared state: {initial}")
 
 
 def _repeat(keyed: Iterable[tuple[int, object]]) -> Optional[int]:

@@ -11,9 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 IDENTIFIER = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+_IDENTIFIERS = re.compile(r"[A-Za-z0-9_.+-]+(?:\n[A-Za-z0-9_.+-]+)*")  # joined by newlines
 
 PROBLEMS = ("ssp", "essp", "solvability")
 
@@ -80,6 +83,25 @@ class TransitionSystem:
             if key in self._delta:
                 raise ValueError(f"nondeterministic arc: {src} {event}")
             self._delta[key] = dst
+
+    @classmethod
+    def _indexed(
+        cls,
+        name: str,
+        states: list[str],
+        events: list[str],
+        initial: str,
+        delta: dict[tuple[str, str], str],
+        index: Optional[TSIndex],
+    ) -> "TransitionSystem":
+        """A TS from a deterministic by-name arc map and, unless None, the
+        index of those arcs, which then is never rebuilt."""
+        ts = cls.__new__(cls)
+        ts.name, ts.states, ts.events, ts.initial = name, tuple(states), tuple(events), initial
+        ts._delta = delta
+        if index is not None:
+            ts.index = index
+        return ts
 
     def delta(self, state: str, event: str) -> Optional[str]:
         """Successor of state under event, or None if undefined."""
@@ -178,11 +200,13 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     empty report is safe input for every other operation in the package.
     """
     violations: list[str] = []
-    for label, value in [("name", ts.name)] + [("state", s) for s in ts.states] + [
-        ("event", e) for e in ts.events
-    ]:
-        if not IDENTIFIER.match(value):
-            violations.append(f"bad {label} identifier: {value!r}")
+    names = (ts.name, *ts.states, *ts.events)
+    joined = "\n".join(names)
+    if not (_IDENTIFIERS.fullmatch(joined) and joined.count("\n") == len(names) - 1):
+        labels = ["name"] + ["state"] * len(ts.states) + ["event"] * len(ts.events)
+        for label, value in zip(labels, names):
+            if not IDENTIFIER.match(value):
+                violations.append(f"bad {label} identifier: {value!r}")
     try:
         index = ts.index
     except ValueError:
@@ -201,9 +225,9 @@ def validate(ts: TransitionSystem) -> ValidationReport:
     for s, seen in zip(ts.states, reached):
         if not seen:
             violations.append(f"unreachable: {s}")
-    used = {event for (_, event) in ts._delta}
-    for e in ts.events:
-        if e not in used:
+    used = set(map(itemgetter(0), chain.from_iterable(index.out)))
+    for position, e in enumerate(ts.events):
+        if position not in used:
             violations.append(f"unused event: {e}")
     return ValidationReport(not violations, violations)
 
@@ -211,14 +235,12 @@ def validate(ts: TransitionSystem) -> ValidationReport:
 def grade(ts: TransitionSystem) -> int:
     """Least g such that every state sees at most g distinct incoming and
     at most g distinct outgoing events."""
-    incoming: dict[str, set[str]] = {s: set() for s in ts.states}
-    best = 0
-    for (src, event), dst in ts._delta.items():
-        incoming[dst].add(event)
-    for s in ts.states:
-        out = len(ts.out_edges(s))
-        best = max(best, out, len(incoming[s]))
-    return best
+    out = ts.index.out
+    incoming: list[set[int]] = [set() for _ in out]
+    for arcs in out:
+        for event, dst in arcs:
+            incoming[dst].add(event)
+    return max(map(len, chain(out, incoming)), default=0)
 
 
 def is_linear(ts: TransitionSystem) -> bool:

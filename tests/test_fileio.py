@@ -250,3 +250,17 @@ def test_token_soup_raises_only_parse_error(soup):
                 parse(document)
             except ParseError:
                 pass
+
+
+def test_lines_break_only_at_newline_and_carriage_return():
+    # U+2028, \f, \x85 and the other breaks str.splitlines knows stay inside
+    # a line: as whitespace, or as comment text up to the next \n, \r\n or \r
+    ts = parse_ts(".ts a\n.initial s # c\u2028 .arrow\n.arc s e s\n")
+    assert ts.arcs() == (("s", "e", "s"),)
+    with pytest.raises(ParseError, match="line 3: unknown directive: .arrow"):
+        parse_ts(".ts a\x0c\n.initial s\n.arrow x\n")
+    with pytest.raises(ParseError, match="line 1: variable index out of range: X1"):
+        parse_formula(".cnf3 1\n.clause 0 1 2 # note\u2028.clause 0 1 2\n")
+    with pytest.raises(ParseError, match="line 4: unknown directive: .p"):
+        parse_net(".net n\r\n.family ppt\x85\r.bound 1\r.p x\n")
+    assert parse_ts(".ts a\r\n.initial s\r.arc\x1cs e s\n") == ts
